@@ -41,7 +41,7 @@ DESIGNS = PAPER_DESIGNS
 #: backend's cache counters are exact (bit-identical to the replay
 #: oracle) and its cycles are a deterministic function of them, so these
 #: numbers are just as pinnable as the timing ones.
-FUNCTIONAL_DESIGNS = ("bs", "gc")
+FUNCTIONAL_DESIGNS = ("bs", "gc", "dbp", "pdp-8")
 
 TOLERANCE = 1e-9
 
