@@ -16,10 +16,11 @@ lives in the packed parallel arrays of a
 :class:`~repro.cache.tagstore.FlatTagStore`; the tag scan is a C-speed
 ``list.index`` over the set's slice, and LRU/RRIP replacement updates go
 through the policies' ``flat_*`` hooks without materialising a line
-object.  ``cache.sets[s][w]`` still yields a
+object.  Management policies work on the same flat arrays (see
+:mod:`repro.cache.policies.base`).  ``cache.sets[s][w]`` still yields a
 :class:`~repro.cache.tagstore.CacheLineView` with the full
-:class:`~repro.cache.line.CacheLine` attribute API, so management
-policies and the observability layer are unchanged — and the retained
+:class:`~repro.cache.line.CacheLine` attribute API for tests and
+diagnostics — and the retained
 :class:`~repro.cache.reference.ReferenceCache` pins both
 implementations to bit-identical behaviour under property test.
 """
@@ -32,7 +33,6 @@ from typing import List, Optional
 from repro.cache.line import CacheLine  # noqa: F401  (re-exported API type)
 from repro.cache.policies.base import (
     FillContext,
-    FillDecision,
     ManagementPolicy,
     NullManagementPolicy,
 )
@@ -140,12 +140,12 @@ class Cache:
         self._set_mask = num_sets - 1
         self._repl_binds = hasattr(replacement, "bind_set")
         self._repl_misses = hasattr(replacement, "record_miss")
-        # Periodic access-tick service (see register_access_tick); must
-        # exist before attach() so policies can register during it.
-        self._tick_cb = None
-        self._tick_interval = 0
-        self._tick_left = 0
-        self.mgmt.attach(self)
+        self.mgmt.attach(self.store, replacement, name)
+        # The policy's periodic tick: one integer countdown inside
+        # lookup_fast, so a policy that only needs "every N accesses"
+        # defines no on_hit/on_miss and the lookup pays no call for it.
+        self._tick_interval = max(0, self.mgmt.tick_interval)
+        self._tick_left = self._tick_interval
 
         # Flat replacement hooks (bound methods, or None -> object path).
         self._flat_on_hit = None
@@ -172,27 +172,13 @@ class Cache:
         self._mgmt_on_insert = _hook("on_insert")
         self._mgmt_on_bypass = _hook("on_bypass")
         self._mgmt_on_evict = _hook("on_evict")
-        # fill() only materialises a FillContext when some hook (or the
-        # event bus, checked at call time) will actually read it.
+        # Whether the policy reads the fill's victim hint: callers only
+        # build a FillContext to carry it when this is set (or when the
+        # event bus is attached).
         self._mgmt_needs_ctx = (
             self._mgmt_fill_decision is not None
             or self._mgmt_on_insert is not None
-            or self._mgmt_on_bypass is not None
         )
-
-    def register_access_tick(self, interval: int, callback) -> None:
-        """Invoke ``callback(cache, now)`` every ``interval`` demand lookups.
-
-        Management policies that only need a periodic access counter (the
-        G-Cache switch shutdown) register here instead of overriding
-        ``on_hit``/``on_miss``: the cache then pays one integer countdown
-        per access instead of a Python method call.  ``interval <= 0``
-        disables the tick.
-        """
-        if interval > 0:
-            self._tick_cb = callback
-            self._tick_interval = interval
-            self._tick_left = interval
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -263,7 +249,7 @@ class Cache:
                 self._tick_left = left
             else:
                 self._tick_left = interval
-                self._tick_cb(self, now)
+                self.mgmt.on_tick(now)
 
         # Inlined _find_slot (this is the hottest loop in the simulator).
         tags = store.tag
@@ -295,7 +281,7 @@ class Cache:
                 self.replacement.on_hit(self.sets[set_index], idx - base, now)
             mgmt_hit = self._mgmt_on_hit
             if mgmt_hit is not None:
-                mgmt_hit(self, set_index, idx - base, now)
+                mgmt_hit(set_index, idx, now)
             if self.obs is not None:
                 self.obs.emit(
                     EV_HIT, now, self.name,
@@ -307,7 +293,7 @@ class Cache:
             self.replacement.record_miss(set_index)
         mgmt_miss = self._mgmt_on_miss
         if mgmt_miss is not None:
-            mgmt_miss(self, set_index, now)
+            mgmt_miss(set_index, now)
         if self.obs is not None:
             self.obs.emit(
                 EV_MISS, now, self.name,
@@ -347,12 +333,13 @@ class Cache:
 
         ``is_write`` is consulted only when ``ctx`` is omitted (an
         explicit context carries its own ``is_write``); it lets callers
-        of policy-free caches skip building a context entirely.
+        that have no victim hint to pass skip building a context.
         """
         if ctx is not None:
             is_write = ctx.is_write
-        elif self._mgmt_needs_ctx or self.obs is not None:
-            ctx = FillContext(line_addr=line_addr, is_write=is_write)
+            hint = ctx.victim_hint
+        else:
+            hint = False
         store = self.store
         set_index = (line_addr >> self.pre_shift) & self._set_mask
         base = set_index * self.ways
@@ -379,19 +366,19 @@ class Cache:
                 return FillResult(set_index, already_present=True, way=idx - base)
 
         fill_decision = self._mgmt_fill_decision
-        if fill_decision is not None:
-            decision = fill_decision(self, set_index, ctx, now)
-            if decision is FillDecision.BYPASS:
-                self.stats.bypasses += 1
-                on_bypass = self._mgmt_on_bypass
-                if on_bypass is not None:
-                    on_bypass(self, set_index, ctx, now)
-                if self.obs is not None:
-                    self.obs.emit(
-                        EV_BYPASS, now, self.name,
-                        line=line_addr, set=set_index, hint=ctx.victim_hint,
-                    )
-                return FillResult(set_index, bypassed=True)
+        if fill_decision is not None and fill_decision(
+            set_index, line_addr, hint, now
+        ):
+            self.stats.bypasses += 1
+            on_bypass = self._mgmt_on_bypass
+            if on_bypass is not None:
+                on_bypass(set_index, now)
+            if self.obs is not None:
+                self.obs.emit(
+                    EV_BYPASS, now, self.name,
+                    line=line_addr, set=set_index, hint=hint,
+                )
+            return FillResult(set_index, bypassed=True)
 
         # Prefer an invalid way; otherwise ask the management policy, then
         # the replacement policy, for a victim.
@@ -402,7 +389,7 @@ class Cache:
             idx = base + way
         else:
             choose_victim = self._mgmt_choose_victim
-            chosen = None if choose_victim is None else choose_victim(self, set_index, now)
+            chosen = None if choose_victim is None else choose_victim(set_index, now)
             if chosen is not None:
                 way = chosen
             elif self._flat_select_victim is not None:
@@ -422,7 +409,7 @@ class Cache:
             stats.reuse._counts[store.use_count[idx]] += 1
             on_evict = self._mgmt_on_evict
             if on_evict is not None:
-                on_evict(self, set_index, way, self._views[idx], now)
+                on_evict(idx, now)
             if self.obs is not None:
                 self.obs.emit(
                     EV_EVICT, now, self.name,
@@ -441,12 +428,12 @@ class Cache:
             self.replacement.on_fill(self.sets[set_index], way, now)
         on_insert = self._mgmt_on_insert
         if on_insert is not None:
-            on_insert(self, set_index, way, ctx, now)
+            on_insert(idx, hint, now)
         if self.obs is not None:
             self.obs.emit(
                 EV_FILL, now, self.name,
                 line=line_addr, set=set_index, way=way,
-                hint=ctx.victim_hint, evicted=evicted_tag,
+                hint=hint, evicted=evicted_tag,
             )
         return FillResult(
             set_index,
@@ -478,7 +465,7 @@ class Cache:
         stats.reuse.record(store.use_count[idx])
         on_evict = self._mgmt_on_evict
         if on_evict is not None:
-            on_evict(self, set_index, way, self._views[idx], now)
+            on_evict(idx, now)
         if self.obs is not None:
             self.obs.emit(
                 EV_EVICT, now, self.name,

@@ -7,7 +7,6 @@ paper's G-Cache policy lives in :mod:`repro.core.gcache`.
 
 from repro.cache.policies.base import (
     FillContext,
-    FillDecision,
     ManagementPolicy,
     NullManagementPolicy,
 )
@@ -21,7 +20,6 @@ from repro.cache.policies.pdp import (
 
 __all__ = [
     "FillContext",
-    "FillDecision",
     "ManagementPolicy",
     "NullManagementPolicy",
     "StaticPDPPolicy",

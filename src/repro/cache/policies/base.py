@@ -4,27 +4,26 @@ A *management policy* sits above the replacement policy and decides, per
 fill, whether to insert or bypass, which victim to evict, and with what
 insertion state.  The baseline designs (BS, BS-S) use the
 :class:`NullManagementPolicy`, which never bypasses and delegates fully to
-the replacement policy; PDP and G-Cache override the hooks.
+the replacement policy; PDP, dead-block and G-Cache override the hooks.
+
+Every policy is written once, against the tag array's *planes*: flat
+per-line sequences indexed by ``set_index * ways + way`` (``tag``,
+``rrpv``, ``use_count``, ``fill_time``, ``pd_counter``), the per-set
+``valid_count``, and the geometry ``num_sets`` / ``ways``.  An invalid
+slot's ``tag`` is ``-1`` and its ``pd_counter`` is 0.  Three holders
+provide those planes — the timing :class:`~repro.cache.cache.Cache`'s
+:class:`~repro.cache.tagstore.FlatTagStore`, the functional engine's
+per-core L1 state, and a line view inside the
+:class:`~repro.cache.reference.ReferenceCache` oracle — so all three
+drive the very same policy objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.cache import Cache
-    from repro.cache.line import CacheLine
-
-__all__ = ["FillDecision", "FillContext", "ManagementPolicy", "NullManagementPolicy"]
-
-
-class FillDecision(Enum):
-    """Outcome of the fill-time bypass decision."""
-
-    INSERT = "insert"
-    BYPASS = "bypass"
+__all__ = ["FillContext", "ManagementPolicy", "NullManagementPolicy"]
 
 
 @dataclass(slots=True)
@@ -52,7 +51,9 @@ class ManagementPolicy:
     """Bypass / insertion hooks layered over a replacement policy.
 
     All hooks are optional; the defaults implement "always insert, let the
-    replacement policy pick victims", i.e. a conventional cache.
+    replacement policy pick victims", i.e. a conventional cache.  Hooks
+    that a subclass leaves as these defaults are never called on the hot
+    paths.  ``idx`` is a flat slot index into :attr:`store`'s planes.
 
     ``obs`` holds the run's event bus when tracing is enabled
     (:func:`repro.obs.wire`); ``None`` — the default — disables all
@@ -61,45 +62,64 @@ class ManagementPolicy:
 
     name = "none"
     obs = None
+    #: The attached planes and the owning cache's name (see :meth:`attach`).
+    store = None
+    cache_name = ""
 
-    def attach(self, cache: "Cache") -> None:
-        """Called once when the policy is bound to its cache."""
+    #: Demand accesses between :meth:`on_tick` calls (0 = never).  The
+    #: owner (cache or functional engine) runs the countdown.
+    tick_interval = 0
 
-    def on_hit(self, cache: "Cache", set_index: int, way: int, now: int) -> None:
-        """A lookup hit ``cache[set_index][way]``."""
+    # Batch contracts, read by the functional engine (docs/performance.md,
+    # "Adding a new design's batch hooks").  Each must be true of the
+    # class that declares it.
+    #: L1 hits and stores leave the policy's state untouched and no hook
+    #: reads ``fill_time`` or ``now`` (beyond tracing): the engine may
+    #: then fast-forward hit runs and replay each core's L1 on its own.
+    batchable = False
+    #: ``fill_decision(hint=False)`` returns False with no side effects
+    #: whenever ``switches.bits[set_index]`` is 0.
+    fill_gate_switches = False
+    #: ``on_insert(hint=False)`` is a no-op.
+    insert_skip_cold = False
 
-    def on_miss(self, cache: "Cache", set_index: int, now: int) -> None:
-        """A lookup missed in ``set_index`` (before any fill)."""
+    def attach(self, store, replacement, name: str = "") -> None:
+        """Bind to a tag array's planes (once, before any access).
+
+        ``replacement`` is the cache's replacement policy, for policies
+        that depend on its kind or width; ``name`` labels traced events.
+        """
+        self.store = store
+        self.cache_name = name
+
+    def on_hit(self, set_index: int, idx: int, now: int) -> None:
+        """A demand lookup hit slot ``idx``."""
+
+    def on_miss(self, set_index: int, now: int) -> None:
+        """A demand lookup missed in ``set_index`` (before any fill)."""
 
     def fill_decision(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> FillDecision:
-        """Decide whether the incoming fill is inserted or bypassed."""
-        return FillDecision.INSERT
+        self, set_index: int, line: int, hint: bool, now: int
+    ) -> bool:
+        """Return True to bypass the fill of ``line`` (victim hint ``hint``)."""
+        return False
 
-    def choose_victim(
-        self, cache: "Cache", set_index: int, now: int
-    ) -> Optional[int]:
-        """Pick the victim way, or ``None`` to defer to replacement."""
+    def choose_victim(self, set_index: int, now: int) -> Optional[int]:
+        """Pick the victim way of a full set, or ``None`` to defer to
+        replacement."""
         return None
 
-    def on_insert(
-        self, cache: "Cache", set_index: int, way: int, ctx: FillContext, now: int
-    ) -> None:
-        """Adjust insertion state after the replacement policy's on_fill."""
+    def on_insert(self, idx: int, hint: bool, now: int) -> None:
+        """Adjust insertion state after the replacement policy's fill."""
 
-    def on_bypass(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> None:
+    def on_bypass(self, set_index: int, now: int) -> None:
         """A fill into ``set_index`` was bypassed."""
 
-    def on_evict(
-        self, cache: "Cache", set_index: int, way: int, line: "CacheLine", now: int
-    ) -> None:
-        """``line`` is about to be evicted from ``cache[set_index][way]``."""
+    def on_evict(self, idx: int, now: int) -> None:
+        """Slot ``idx`` is about to be evicted (its state is still intact)."""
 
-    def epoch(self, now: int) -> None:
-        """Periodic housekeeping (e.g. G-Cache bypass-switch shutdown)."""
+    def on_tick(self, now: int) -> None:
+        """Periodic callback, every :attr:`tick_interval` demand accesses."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__}>"
@@ -109,3 +129,4 @@ class NullManagementPolicy(ManagementPolicy):
     """Conventional cache behaviour: insert everything, never bypass."""
 
     name = "none"
+    batchable = True

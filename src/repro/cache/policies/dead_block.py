@@ -17,16 +17,9 @@ Including it lets the repository quantify that argument.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
-from repro.cache.policies.base import (
-    FillContext,
-    FillDecision,
-    ManagementPolicy,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.cache import Cache
+from repro.cache.policies.base import ManagementPolicy
 
 __all__ = ["DeadBlockPolicy"]
 
@@ -43,6 +36,10 @@ class DeadBlockPolicy(ManagementPolicy):
     """
 
     name = "dbp"
+    # The predictor learns only at eviction and decides only at fill:
+    # hits and stores leave it untouched, and no hook reads `now` or
+    # fill times.
+    batchable = True
 
     def __init__(
         self,
@@ -55,6 +52,7 @@ class DeadBlockPolicy(ManagementPolicy):
         if confidence < 1:
             raise ValueError(f"confidence must be >= 1, got {confidence}")
         self.table_size = 1 << table_bits
+        self.table_mask = self.table_size - 1
         self.region_shift = region_shift
         self.confidence = confidence
         #: region index -> (predicted reuses, dead-generation streak)
@@ -63,8 +61,10 @@ class DeadBlockPolicy(ManagementPolicy):
         self.dead_on_arrival = 0
 
     def _index(self, line_addr: int) -> int:
+        # The hash's one readable definition; the hooks below inline it
+        # (they run once per L1 miss, several probes each).
         region = line_addr >> self.region_shift
-        return (region ^ (region >> 7)) & (self.table_size - 1)
+        return (region ^ (region >> 7)) & self.table_mask
 
     def _entry(self, line_addr: int) -> tuple:
         return self._table.get(self._index(line_addr), (1, 0))
@@ -73,31 +73,42 @@ class DeadBlockPolicy(ManagementPolicy):
     # Hooks
     # ------------------------------------------------------------------
     def fill_decision(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> FillDecision:
-        predicted, streak = self._entry(ctx.line_addr)
+        self, set_index: int, line: int, hint: bool, now: int
+    ) -> bool:
+        region = line >> self.region_shift
+        predicted, streak = self._table.get(
+            (region ^ (region >> 7)) & self.table_mask, (1, 0)
+        )
         self.predictions += 1
         if predicted == 0 and streak >= self.confidence:
             self.dead_on_arrival += 1
-            return FillDecision.BYPASS
-        return FillDecision.INSERT
+            return True
+        return False
 
-    def choose_victim(self, cache: "Cache", set_index: int, now: int) -> Optional[int]:
+    def choose_victim(self, set_index: int, now: int) -> Optional[int]:
         # Prefer a resident line that already consumed its predicted
         # reuses (dead); otherwise defer to the replacement policy.
-        for way, line in enumerate(cache.sets[set_index]):
-            predicted, _ = self._entry(line.tag)
-            if line.use_count >= predicted > 0:
+        store = self.store
+        ways = store.ways
+        base = set_index * ways
+        tag = store.tag
+        use_count = store.use_count
+        shift = self.region_shift
+        mask = self.table_mask
+        get = self._table.get
+        for way in range(ways):
+            region = tag[base + way] >> shift
+            predicted, _ = get((region ^ (region >> 7)) & mask, (1, 0))
+            if use_count[base + way] >= predicted > 0:
                 return way
         return None
 
-    def on_evict(self, cache: "Cache", set_index: int, way: int, line, now: int) -> None:
-        idx = self._index(line.tag)
-        _, streak = self._table.get(idx, (1, 0))
-        if line.use_count == 0:
-            self._table[idx] = (0, streak + 1)
-        else:
-            self._table[idx] = (line.use_count, 0)
+    def on_evict(self, idx: int, now: int) -> None:
+        region = self.store.tag[idx] >> self.region_shift
+        table_idx = (region ^ (region >> 7)) & self.table_mask
+        _, streak = self._table.get(table_idx, (1, 0))
+        uses = self.store.use_count[idx]
+        self._table[table_idx] = (0, streak + 1) if uses == 0 else (uses, 0)
 
     @property
     def dead_prediction_rate(self) -> float:

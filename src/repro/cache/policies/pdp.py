@@ -29,16 +29,9 @@ number of sampled accesses.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import Deque, List, Optional
 
-from repro.cache.policies.base import (
-    FillContext,
-    FillDecision,
-    ManagementPolicy,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.cache import Cache
+from repro.cache.policies.base import ManagementPolicy
 
 __all__ = ["StaticPDPPolicy", "DynamicPDPPolicy", "ReuseDistanceSampler", "optimal_pd"]
 
@@ -158,6 +151,9 @@ class StaticPDPPolicy(ManagementPolicy):
     """
 
     name = "spdp-b"
+    # Not batchable: every access ticks its set's clock (possibly
+    # decrementing the whole set's PDCs), and victims are ordered by
+    # fill time.
 
     def __init__(self, pd: int, counter_bits: int = 8, bypass: bool = True) -> None:
         if pd < 1:
@@ -167,10 +163,10 @@ class StaticPDPPolicy(ManagementPolicy):
         self.counter_bits = counter_bits
         self.counter_max = (1 << counter_bits) - 1
         self.bypass = bypass
-        self._cache: Optional["Cache"] = None
         self._set_ticks: List[int] = []
         self.pd = 0
         self.step = 1
+        self.initial_pdc = 0
         self.set_pd(pd)
 
     def set_pd(self, pd: int) -> None:
@@ -178,65 +174,70 @@ class StaticPDPPolicy(ManagementPolicy):
         self.pd = pd
         # Quantization: a PDC decrement represents `step` set accesses.
         self.step = max(1, -(-pd // self.counter_max))  # ceil division
+        #: PDC given to a line on fill or hit.
+        self.initial_pdc = min(self.counter_max, -(-pd // self.step))
 
-    def _initial_pdc(self) -> int:
-        return min(self.counter_max, -(-self.pd // self.step))
+    def attach(self, store, replacement, name: str = "") -> None:
+        super().attach(store, replacement, name)
+        self._set_ticks = [0] * store.num_sets
 
-    def attach(self, cache: "Cache") -> None:
-        self._cache = cache
-        self._set_ticks = [0] * cache.num_sets
-
-    def _tick_set(self, cache: "Cache", set_index: int) -> None:
+    def _tick_set(self, set_index: int) -> None:
         """Advance the set's access clock; decrement PDCs on step boundary."""
-        self._set_ticks[set_index] += 1
-        if self._set_ticks[set_index] % self.step != 0:
+        ticks = self._set_ticks
+        ticks[set_index] += 1
+        if ticks[set_index] % self.step:
             return
-        for line in cache.sets[set_index]:
-            if line.valid and line.pd_counter > 0:
-                line.pd_counter -= 1
+        # Invalid slots hold PDC 0, so they are skipped without a test.
+        pd_counter = self.store.pd_counter
+        ways = self.store.ways
+        base = set_index * ways
+        for i in range(base, base + ways):
+            if pd_counter[i] > 0:
+                pd_counter[i] -= 1
 
-    def on_hit(self, cache: "Cache", set_index: int, way: int, now: int) -> None:
-        self._tick_set(cache, set_index)
-        cache.sets[set_index][way].pd_counter = self._initial_pdc()
+    def on_hit(self, set_index: int, idx: int, now: int) -> None:
+        self._tick_set(set_index)
+        self.store.pd_counter[idx] = self.initial_pdc
 
-    def on_miss(self, cache: "Cache", set_index: int, now: int) -> None:
-        self._tick_set(cache, set_index)
+    def on_miss(self, set_index: int, now: int) -> None:
+        self._tick_set(set_index)
 
-    def _unprotected_way(self, cache: "Cache", set_index: int) -> Optional[int]:
-        ways = cache.sets[set_index]
+    def _unprotected_way(self, set_index: int) -> Optional[int]:
+        """First invalid way, else the least-recently filled unprotected
+        way, else ``None``."""
+        store = self.store
+        ways = store.ways
+        base = set_index * ways
+        tag = store.tag
+        pd_counter = store.pd_counter
+        fill_time = store.fill_time
         best = None
-        best_pdc = None
-        for i, line in enumerate(ways):
-            if not line.valid:
-                return i
-            if line.pd_counter == 0:
-                # Among unprotected lines prefer the least-recently filled.
-                if best is None or line.fill_time < best_pdc:
-                    best = i
-                    best_pdc = line.fill_time
+        best_ft = 0
+        for way in range(ways):
+            i = base + way
+            if tag[i] == -1:
+                return way
+            if pd_counter[i] == 0 and (best is None or fill_time[i] < best_ft):
+                best = way
+                best_ft = fill_time[i]
         return best
 
     def fill_decision(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> FillDecision:
-        if not self.bypass:
-            return FillDecision.INSERT
-        if self._unprotected_way(cache, set_index) is None:
-            return FillDecision.BYPASS
-        return FillDecision.INSERT
+        self, set_index: int, line: int, hint: bool, now: int
+    ) -> bool:
+        return self.bypass and self._unprotected_way(set_index) is None
 
-    def choose_victim(self, cache: "Cache", set_index: int, now: int) -> Optional[int]:
-        way = self._unprotected_way(cache, set_index)
+    def choose_victim(self, set_index: int, now: int) -> Optional[int]:
+        way = self._unprotected_way(set_index)
         if way is not None:
             return way
         # Reachable only with bypass disabled: evict the smallest PDC.
-        ways = cache.sets[set_index]
-        return min(range(len(ways)), key=lambda i: ways[i].pd_counter)
+        base = set_index * self.store.ways
+        seg = self.store.pd_counter[base : base + self.store.ways]
+        return seg.index(min(seg))
 
-    def on_insert(
-        self, cache: "Cache", set_index: int, way: int, ctx: FillContext, now: int
-    ) -> None:
-        cache.sets[set_index][way].pd_counter = self._initial_pdc()
+    def on_insert(self, idx: int, hint: bool, now: int) -> None:
+        self.store.pd_counter[idx] = self.initial_pdc
 
 
 class DynamicPDPPolicy(StaticPDPPolicy):
@@ -272,36 +273,33 @@ class DynamicPDPPolicy(StaticPDPPolicy):
         self._since_epoch = 0
         self.pd_history: List[int] = [initial_pd]
 
-    def attach(self, cache: "Cache") -> None:
-        super().attach(cache)
+    def attach(self, store, replacement, name: str = "") -> None:
+        super().attach(store, replacement, name)
         self._sampler = ReuseDistanceSampler(
-            num_sets=cache.num_sets,
+            num_sets=store.num_sets,
             fifo_depth=self.fifo_depth,
             rdd_size=self.rdd_size,
         )
 
-    def _observe(self, cache: "Cache", set_index: int, line_addr: int) -> None:
-        assert self._sampler is not None
-        self._sampler.observe(set_index, line_addr)
+    def _observe(self, set_index: int, line_addr: int) -> None:
+        sampler = self._sampler
+        sampler.observe(set_index, line_addr)
         self._since_epoch += 1
         if self._since_epoch >= self.epoch_accesses:
             self._since_epoch = 0
-            new_pd = optimal_pd(self._sampler.rdd, self._sampler.total, self.max_pd)
-            self._sampler.decay()
+            new_pd = optimal_pd(sampler.rdd, sampler.total, self.max_pd)
+            sampler.decay()
             self.set_pd(new_pd)
             self.pd_history.append(new_pd)
 
-    def on_hit(self, cache: "Cache", set_index: int, way: int, now: int) -> None:
-        self._observe(cache, set_index, cache.sets[set_index][way].tag)
-        super().on_hit(cache, set_index, way, now)
-
-    def on_miss(self, cache: "Cache", set_index: int, now: int) -> None:
-        # The missing address is observed at fill time (on_insert/on_bypass
-        # both funnel through fill_decision, where ctx carries the address).
-        super().on_miss(cache, set_index, now)
+    def on_hit(self, set_index: int, idx: int, now: int) -> None:
+        self._observe(set_index, self.store.tag[idx])
+        super().on_hit(set_index, idx, now)
 
     def fill_decision(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> FillDecision:
-        self._observe(cache, set_index, ctx.line_addr)
-        return super().fill_decision(cache, set_index, ctx, now)
+        self, set_index: int, line: int, hint: bool, now: int
+    ) -> bool:
+        # A miss is observed here, where its address is known (both the
+        # insert and the bypass outcome funnel through this call).
+        self._observe(set_index, line)
+        return super().fill_decision(set_index, line, hint, now)

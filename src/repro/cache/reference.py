@@ -12,8 +12,10 @@ and asserts bit-identical hit/miss/bypass/eviction behaviour.
 It intentionally shares the :class:`LookupResult` / :class:`FillResult`
 types and the policy interfaces with the production cache, so any future
 policy change is automatically cross-checked against both
-implementations.  Do not "optimise" this module — its slowness is the
-point.
+implementations.  Policies address a tag array by flat index through its
+planes (see :mod:`repro.cache.policies.base`); this cache hands them
+:class:`LinePlanes`, a view that reads and writes its line objects.  Do
+not "optimise" this module — its slowness is the point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.cache.cache import FillResult, LookupResult, _is_pow2
 from repro.cache.line import CacheLine
 from repro.cache.policies.base import (
     FillContext,
-    FillDecision,
     ManagementPolicy,
     NullManagementPolicy,
 )
@@ -32,6 +33,55 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.stats.counters import CacheStats
 
 __all__ = ["ReferenceCache"]
+
+
+class _Plane:
+    """One :class:`CacheLine` field, indexed like a flat tag-store plane."""
+
+    __slots__ = ("_lines", "_field")
+
+    def __init__(self, lines: List[CacheLine], field: str) -> None:
+        self._lines = lines
+        self._field = field
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [getattr(line, self._field) for line in self._lines[i]]
+        return getattr(self._lines[i], self._field)
+
+    def __setitem__(self, i, value) -> None:
+        if isinstance(i, slice):
+            for line, v in zip(self._lines[i], value):
+                setattr(line, self._field, v)
+        else:
+            setattr(self._lines[i], self._field, value)
+
+
+class _ValidCount:
+    """Per-set count of valid lines, recounted on every read."""
+
+    __slots__ = ("_sets",)
+
+    def __init__(self, sets: List[List[CacheLine]]) -> None:
+        self._sets = sets
+
+    def __getitem__(self, set_index: int) -> int:
+        return sum(1 for line in self._sets[set_index] if line.valid)
+
+
+class LinePlanes:
+    """The policy planes of a :class:`ReferenceCache`, over its lines."""
+
+    def __init__(self, sets: List[List[CacheLine]]) -> None:
+        lines = [line for ways in sets for line in ways]
+        self.num_sets = len(sets)
+        self.ways = len(sets[0])
+        self.tag = _Plane(lines, "tag")
+        self.rrpv = _Plane(lines, "rrpv")
+        self.use_count = _Plane(lines, "use_count")
+        self.fill_time = _Plane(lines, "fill_time")
+        self.pd_counter = _Plane(lines, "pd_counter")
+        self.valid_count = _ValidCount(sets)
 
 
 class ReferenceCache:
@@ -81,17 +131,8 @@ class ReferenceCache:
         self._set_mask = num_sets - 1
         self._repl_binds = hasattr(replacement, "bind_set")
         self._repl_misses = hasattr(replacement, "record_miss")
-        self._tick_cb = None
-        self._tick_interval = 0
-        self._tick_left = 0
-        self.mgmt.attach(self)
-
-    def register_access_tick(self, interval: int, callback) -> None:
-        """Same periodic access-tick contract as the production Cache."""
-        if interval > 0:
-            self._tick_cb = callback
-            self._tick_interval = interval
-            self._tick_left = interval
+        self.mgmt.attach(LinePlanes(self.sets), replacement, name)
+        self._tick_left = self.mgmt.tick_interval
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -123,14 +164,11 @@ class ReferenceCache:
         else:
             self.stats.loads += 1
 
-        interval = self._tick_interval
-        if interval:
-            left = self._tick_left - 1
-            if left:
-                self._tick_left = left
-            else:
-                self._tick_left = interval
-                self._tick_cb(self, now)
+        if self.mgmt.tick_interval > 0:
+            self._tick_left -= 1
+            if not self._tick_left:
+                self._tick_left = self.mgmt.tick_interval
+                self.mgmt.on_tick(now)
 
         for way, line in enumerate(ways):
             if line.valid and line.tag == line_addr:
@@ -143,12 +181,12 @@ class ReferenceCache:
                 else:
                     self.stats.load_hits += 1
                 self.replacement.on_hit(ways, way, now)
-                self.mgmt.on_hit(self, set_index, way, now)
+                self.mgmt.on_hit(set_index, set_index * self.ways + way, now)
                 return LookupResult(hit=True, set_index=set_index, way=way, line=line)
 
         if self._repl_misses:
             self.replacement.record_miss(set_index)
-        self.mgmt.on_miss(self, set_index, now)
+        self.mgmt.on_miss(set_index, now)
         return LookupResult(hit=False, set_index=set_index)
 
     def fill(self, line_addr: int, now: int, ctx: Optional[FillContext] = None) -> FillResult:
@@ -163,10 +201,9 @@ class ReferenceCache:
             if line.valid and line.tag == line_addr:
                 return FillResult(set_index=set_index, already_present=True, way=way)
 
-        decision = self.mgmt.fill_decision(self, set_index, ctx, now)
-        if decision is FillDecision.BYPASS:
+        if self.mgmt.fill_decision(set_index, line_addr, ctx.victim_hint, now):
             self.stats.bypasses += 1
-            self.mgmt.on_bypass(self, set_index, ctx, now)
+            self.mgmt.on_bypass(set_index, now)
             return FillResult(set_index=set_index, bypassed=True)
 
         way = -1
@@ -178,7 +215,7 @@ class ReferenceCache:
         evicted_tag = -1
         writeback = False
         if way < 0:
-            chosen = self.mgmt.choose_victim(self, set_index, now)
+            chosen = self.mgmt.choose_victim(set_index, now)
             way = chosen if chosen is not None else self.replacement.select_victim(ways, now)
             victim = ways[way]
             evicted_tag = victim.tag
@@ -191,7 +228,7 @@ class ReferenceCache:
             line.dirty = True
         self.stats.fills += 1
         self.replacement.on_fill(ways, way, now)
-        self.mgmt.on_insert(self, set_index, way, ctx, now)
+        self.mgmt.on_insert(set_index * self.ways + way, ctx.victim_hint, now)
         return FillResult(
             set_index=set_index,
             inserted=True,
@@ -214,7 +251,7 @@ class ReferenceCache:
         if self.write_back and line.dirty:
             self.stats.writebacks += 1
         self.stats.reuse.record(line.use_count)
-        self.mgmt.on_evict(self, set_index, way, line, now)
+        self.mgmt.on_evict(set_index * self.ways + way, now)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -7,24 +7,27 @@ all switches are shut down periodically to bound the side effects of
 bypassing (Section 4.2: "the bypass switch can be shut down periodically
 to reduce side effect of bypassing").
 
-The shutdown period is measured in L1 accesses, driven by the owning
-policy's access hooks, so the mechanism needs no global clock.
+The shutdown period is measured in L1 accesses.  The owning policy
+declares it as its ``tick_interval``; the cache (or the functional
+engine) counts the accesses and the policy calls :meth:`reset_all`, so
+the mechanism needs no global clock.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 __all__ = ["BypassSwitchArray"]
 
 
 class BypassSwitchArray:
-    """One bypass bit per cache set with periodic global shutdown.
+    """One bypass bit per cache set.
+
+    The bits live in :attr:`bits`, a ``bytearray`` that fill paths read
+    directly (one byte per set, 0 = off).
 
     Args:
         num_sets: Number of L1 sets.
-        shutdown_interval: Number of :meth:`tick` calls (L1 accesses)
-            between global resets; ``0`` disables periodic shutdown.
+        shutdown_interval: L1 accesses between global resets; ``0``
+            disables periodic shutdown.
     """
 
     def __init__(self, num_sets: int, shutdown_interval: int = 8192) -> None:
@@ -36,46 +39,29 @@ class BypassSwitchArray:
             )
         self.num_sets = num_sets
         self.shutdown_interval = shutdown_interval
-        self._switches: List[bool] = [False] * num_sets
-        self._ticks = 0
+        self.bits = bytearray(num_sets)
         self.activations = 0
         self.shutdowns = 0
 
     def is_on(self, set_index: int) -> bool:
-        return self._switches[set_index]
+        return bool(self.bits[set_index])
 
     def turn_on(self, set_index: int) -> None:
-        if not self._switches[set_index]:
-            self._switches[set_index] = True
+        if not self.bits[set_index]:
+            self.bits[set_index] = 1
             self.activations += 1
 
     def turn_off(self, set_index: int) -> None:
-        self._switches[set_index] = False
-
-    def tick(self) -> bool:
-        """Advance the access clock; reset all switches on period expiry.
-
-        Returns ``True`` when this tick triggered a periodic shutdown, so
-        the owning policy can trace the transition with its timestamp.
-        """
-        if self.shutdown_interval == 0:
-            return False
-        self._ticks += 1
-        if self._ticks >= self.shutdown_interval:
-            self._ticks = 0
-            self.reset_all()
-            self.shutdowns += 1
-            return True
-        return False
+        self.bits[set_index] = 0
 
     def reset_all(self) -> None:
-        for i in range(self.num_sets):
-            self._switches[i] = False
+        # In place: fill paths may hold a reference to `bits`.
+        self.bits[:] = bytes(self.num_sets)
 
     @property
     def fraction_on(self) -> float:
         """Fraction of sets currently in bypass mode (diagnostics)."""
-        return sum(self._switches) / self.num_sets
+        return sum(self.bits) / self.num_sets
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BypassSwitchArray {sum(self._switches)}/{self.num_sets} on>"
+        return f"<BypassSwitchArray {sum(self.bits)}/{self.num_sets} on>"

@@ -27,13 +27,9 @@ runtime from the contention feedback collected via victim hints.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
-from repro.cache.policies.base import (
-    FillContext,
-    FillDecision,
-    ManagementPolicy,
-)
+from repro.cache.policies.base import ManagementPolicy
 from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.core.bypass_switch import BypassSwitchArray
 from repro.obs.events import (
@@ -42,9 +38,6 @@ from repro.obs.events import (
     EV_SWITCH_ON,
     EV_SWITCH_SHUTDOWN,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.cache import Cache
 
 __all__ = ["GCachePolicy", "GCacheConfig"]
 
@@ -78,6 +71,9 @@ class GCacheConfig:
         initial_m: Starting value of ``M`` (paper: 1).
         max_m: Upper bound for adapted ``M``.
         aging_epoch: Fills between ``M`` adaptation steps.
+
+    The insertion RRPVs must be at least 0 here and at most the
+    replacement policy's max RRPV, which is checked at attach time.
     """
 
     def __init__(
@@ -96,6 +92,14 @@ class GCacheConfig:
             raise ValueError(f"th_hot must be >= 1, got {th_hot}")
         if th_hot_victim is not None and th_hot_victim < 0:
             raise ValueError(f"th_hot_victim must be >= 0, got {th_hot_victim}")
+        if hot_insert_rrpv < 0:
+            raise ValueError(
+                f"hot_insert_rrpv must be >= 0, got {hot_insert_rrpv}"
+            )
+        if cold_insert_rrpv is not None and cold_insert_rrpv < 0:
+            raise ValueError(
+                f"cold_insert_rrpv must be >= 0, got {cold_insert_rrpv}"
+            )
         if initial_m < 1 or max_m < initial_m:
             raise ValueError(f"need 1 <= initial_m <= max_m, got {initial_m}, {max_m}")
         self.th_hot = th_hot
@@ -113,200 +117,168 @@ class GCachePolicy(ManagementPolicy):
     """Adaptive bypass + insertion for the GPU L1 (the paper's G-Cache)."""
 
     name = "gcache"
+    # Hits and stores touch no switch, counter or RRPV state of ours, and
+    # `now` only timestamps traced events.
+    batchable = True
 
     def __init__(self, config: Optional[GCacheConfig] = None) -> None:
-        self.config = config if config is not None else GCacheConfig()
-        self._cache: Optional["Cache"] = None
-        self._rrip: Optional[SRRIPPolicy] = None
-        self._store = None
+        self.config = cfg = config if config is not None else GCacheConfig()
+        #: Periodic switch shutdown, counted by the cache or engine.
+        self.tick_interval = cfg.shutdown_interval
+        # Fixed-M fill_decision touches no state before the switch test
+        # unless the fill carries a hint; adaptive M counts every fill
+        # toward its epoch, so it must see every call.
+        self.fill_gate_switches = not cfg.adaptive_aging
+        self.insert_skip_cold = cfg.cold_insert_rrpv is None
         #: Thresholds resolved against the RRIP width at attach time.
         self.th_hot = 0
         self.th_hot_victim = 0
+        self.max_rrpv = 0
         self.switches: Optional[BypassSwitchArray] = None
         self._bypass_counters: List[int] = []
-        self.m = self.config.initial_m
-        # Adaptation bookkeeping.
+        self.m = cfg.initial_m
+        # Adaptation bookkeeping (adaptive aging only).
         self._epoch_fills = 0
         self._epoch_hints = 0
         self._epoch_bypasses = 0
-        # Diagnostics.
+        # Diagnostics.  Total fill decisions are the cache's
+        # fills + bypasses.
         self.hint_fills = 0
-        self.total_fills = 0
         self.agings = 0
         self.m_history: List[int] = [self.m]
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, cache: "Cache") -> None:
-        if not isinstance(cache.replacement, SRRIPPolicy):
+    def attach(self, store, replacement, name: str = "") -> None:
+        if not isinstance(replacement, SRRIPPolicy):
             raise TypeError(
                 "G-Cache requires an RRIP-family replacement policy in the L1 "
-                f"(got {type(cache.replacement).__name__}); hotness is judged "
+                f"(got {type(replacement).__name__}); hotness is judged "
                 "by RRPV"
             )
-        max_rrpv = cache.replacement.max_rrpv
-        th_hot = self.config.th_hot if self.config.th_hot is not None else max_rrpv
+        cfg = self.config
+        max_rrpv = replacement.max_rrpv
+        th_hot = cfg.th_hot if cfg.th_hot is not None else max_rrpv
         if th_hot > max_rrpv:
             raise ValueError(
                 f"th_hot={th_hot} exceeds the replacement policy's "
                 f"max RRPV {max_rrpv}"
             )
-        th_victim = (
-            min(self.config.th_hot_victim, th_hot)
-            if self.config.th_hot_victim is not None
+        for field in ("hot_insert_rrpv", "cold_insert_rrpv"):
+            value = getattr(cfg, field)
+            if value is not None and value > max_rrpv:
+                raise ValueError(
+                    f"{field}={value} exceeds the replacement policy's "
+                    f"max RRPV {max_rrpv}"
+                )
+        super().attach(store, replacement, name)
+        self.th_hot = th_hot
+        self.th_hot_victim = (
+            min(cfg.th_hot_victim, th_hot)
+            if cfg.th_hot_victim is not None
             else max(1, th_hot - 1)
         )
-        self.th_hot = th_hot
-        self.th_hot_victim = th_victim
-        self._cache = cache
-        self._rrip = cache.replacement
-        # Array-backed caches expose their flat tag store; the per-set
-        # scans below then read the parallel arrays directly instead of
-        # going through one property call per line field.
-        self._store = getattr(cache, "store", None)
+        self.max_rrpv = max_rrpv
         self.switches = BypassSwitchArray(
-            cache.num_sets, shutdown_interval=self.config.shutdown_interval
+            store.num_sets, shutdown_interval=cfg.shutdown_interval
         )
-        self._bypass_counters = [0] * cache.num_sets
-        self._adaptive_aging = self.config.adaptive_aging
-        self._aging_epoch = self.config.aging_epoch
-        cache.register_access_tick(
-            self.config.shutdown_interval, self._tick_shutdown
-        )
+        self._bypass_counters = [0] * store.num_sets
 
-    # ------------------------------------------------------------------
-    # Access hooks
-    # ------------------------------------------------------------------
-    def _tick_shutdown(self, cache: "Cache", now: int) -> None:
-        """Periodic switch shutdown; driven by the cache's access tick.
-
-        The per-access counting itself lives in
-        :meth:`repro.cache.cache.Cache.register_access_tick` (one integer
-        countdown inside ``lookup_fast``), so this policy defines no
-        ``on_hit``/``on_miss`` hooks and the hot lookup path pays no
-        Python call for it.
-        """
+    def on_tick(self, now: int) -> None:
+        """Periodic switch shutdown (every ``shutdown_interval`` accesses)."""
         sw = self.switches
         sw.reset_all()
         sw.shutdowns += 1
         if self.obs is not None:
             self.obs.emit(
-                EV_SWITCH_SHUTDOWN, now, cache.name,
-                interval=sw.shutdown_interval,
+                EV_SWITCH_SHUTDOWN, now, self.cache_name,
+                interval=self.tick_interval,
             )
 
     # ------------------------------------------------------------------
     # Fill path
     # ------------------------------------------------------------------
-    def _all_hot(self, cache: "Cache", set_index: int, threshold: int) -> bool:
-        """True when the set is full and every line's RRPV < threshold."""
-        store = self._store
-        if store is not None:
-            ways = store.ways
-            base = set_index * ways
-            if store.valid_count[set_index] < ways:
-                return False
-            rrpv = store.rrpv
-            for i in range(base, base + ways):
-                if rrpv[i] >= threshold:
-                    return False
-            return True
-        for line in cache.sets[set_index]:
-            if not line.valid:
-                return False
-            if line.rrpv >= threshold:
-                return False
+    def fill_decision(
+        self, set_index: int, line: int, hint: bool, now: int
+    ) -> bool:
+        bits = self.switches.bits
+        if hint:
+            self.hint_fills += 1
+            if not bits[set_index]:
+                if self.obs is not None:
+                    self.obs.emit(
+                        EV_SWITCH_ON, now, self.cache_name, set=set_index
+                    )
+                bits[set_index] = 1
+                self.switches.activations += 1
+        if self.config.adaptive_aging:
+            self._epoch_fills += 1
+            if hint:
+                self._epoch_hints += 1
+            if self._epoch_fills >= self.config.aging_epoch:
+                self._adapt_m(now)
+
+        if not bits[set_index]:
+            return False
+        # All-hot test: the set is full and every RRPV is below threshold.
+        store = self.store
+        ways = store.ways
+        if store.valid_count[set_index] < ways:
+            return False
+        threshold = self.th_hot_victim if hint else self.th_hot
+        base = set_index * ways
+        if max(store.rrpv[base : base + ways]) >= threshold:
+            return False
+        if self.obs is not None:
+            self.obs.emit(
+                EV_BYPASS_DECISION, now, self.cache_name,
+                set=set_index,
+                reason="all_hot_victim_th" if hint else "all_hot",
+                threshold=threshold,
+                m=self.m,
+            )
         return True
 
-    def fill_decision(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> FillDecision:
-        self.total_fills += 1
-        self._epoch_fills += 1
-        sw = self.switches
-        states = sw._switches
-        if ctx.victim_hint:
-            self.hint_fills += 1
-            self._epoch_hints += 1
-            if not states[set_index]:
-                if self.obs is not None:
-                    self.obs.emit(EV_SWITCH_ON, now, cache.name, set=set_index)
-                states[set_index] = True
-                sw.activations += 1
-        # Early-out inline: _maybe_adapt_m only does work once per epoch.
-        if self._adaptive_aging and self._epoch_fills >= self._aging_epoch:
-            self._maybe_adapt_m(cache, now)
-
-        if not states[set_index]:
-            return FillDecision.INSERT
-
-        threshold = self.th_hot_victim if ctx.victim_hint else self.th_hot
-        if self._all_hot(cache, set_index, threshold):
-            if self.obs is not None:
-                self.obs.emit(
-                    EV_BYPASS_DECISION, now, cache.name,
-                    set=set_index,
-                    reason="all_hot_victim_th" if ctx.victim_hint else "all_hot",
-                    threshold=threshold,
-                    m=self.m,
-                )
-            return FillDecision.BYPASS
-        return FillDecision.INSERT
-
-    def on_bypass(
-        self, cache: "Cache", set_index: int, ctx: FillContext, now: int
-    ) -> None:
+    def on_bypass(self, set_index: int, now: int) -> None:
         """Age the set so a persistently bypassed block can eventually enter.
 
         With adaptive aging, RRPVs are incremented only on every M-th
         bypass to the set, preserving protection across very large reuse
         distances.
         """
-        self._epoch_bypasses += 1
-        self._bypass_counters[set_index] += 1
-        if self._bypass_counters[set_index] < self.m:
+        if self.config.adaptive_aging:
+            self._epoch_bypasses += 1
+        counters = self._bypass_counters
+        counters[set_index] += 1
+        if counters[set_index] < self.m:
             return
-        self._bypass_counters[set_index] = 0
-        max_rrpv = self._rrip.max_rrpv
-        store = self._store
-        if store is not None:
-            ways = store.ways
-            base = set_index * ways
-            valid = store.valid
-            rrpv = store.rrpv
-            for i in range(base, base + ways):
-                if valid[i] and rrpv[i] < max_rrpv:
-                    rrpv[i] += 1
-        else:
-            for line in cache.sets[set_index]:
-                if line.valid and line.rrpv < max_rrpv:
-                    line.rrpv += 1
+        counters[set_index] = 0
+        # A bypass implies a full set (the all-hot test), so every slot
+        # is valid: age the whole segment, saturating at max.
+        max_rrpv = self.max_rrpv
+        ways = self.store.ways
+        base = set_index * ways
+        rrpv = self.store.rrpv
+        rrpv[base : base + ways] = [
+            v + 1 if v < max_rrpv else v for v in rrpv[base : base + ways]
+        ]
         self.agings += 1
 
-    def on_insert(
-        self, cache: "Cache", set_index: int, way: int, ctx: FillContext, now: int
-    ) -> None:
-        if ctx.victim_hint:
+    def on_insert(self, idx: int, hint: bool, now: int) -> None:
+        if hint:
             # The block demonstrated reuse (and lost it to contention):
             # insert near-MRU so it is protected.
-            rrpv = self.config.hot_insert_rrpv
+            self.store.rrpv[idx] = self.config.hot_insert_rrpv
         elif self.config.cold_insert_rrpv is not None:
-            rrpv = self.config.cold_insert_rrpv
-        else:
-            # Keep the replacement policy's default insertion (SRRIP long
-            # re-reference: max-1).
-            return
-        store = self._store
-        if store is not None:
-            store.rrpv[set_index * store.ways + way] = rrpv
-        else:
-            cache.sets[set_index][way].rrpv = rrpv
+            self.store.rrpv[idx] = self.config.cold_insert_rrpv
+        # Otherwise keep the replacement policy's default insertion
+        # (SRRIP long re-reference: max-1).
 
     # ------------------------------------------------------------------
     # M-th bypass adaptation (Section 5.1 extension)
     # ------------------------------------------------------------------
-    def _maybe_adapt_m(self, cache: "Cache", now: int) -> None:
+    def _adapt_m(self, now: int) -> None:
         """Adapt M from L2 contention feedback once per epoch.
 
         Heuristic: when contention hints remain frequent *while* bypassing
@@ -314,10 +286,6 @@ class GCachePolicy(ManagementPolicy):
         before their (large) reuse distance elapses — slow aging down by
         doubling M.  When hints subside, relax M back toward 1.
         """
-        if not self.config.adaptive_aging:
-            return
-        if self._epoch_fills < self.config.aging_epoch:
-            return
         hint_rate = self._epoch_hints / self._epoch_fills
         bypass_rate = self._epoch_bypasses / self._epoch_fills
         if hint_rate > 0.25 and bypass_rate > 0.25:
@@ -327,7 +295,7 @@ class GCachePolicy(ManagementPolicy):
         self.m_history.append(self.m)
         if self.obs is not None:
             self.obs.emit(
-                EV_M_ADAPT, now, cache.name,
+                EV_M_ADAPT, now, self.cache_name,
                 m=self.m, hint_rate=hint_rate, bypass_rate=bypass_rate,
             )
         self._epoch_fills = 0

@@ -285,7 +285,7 @@ def collect_run_metrics(gpu, registry: Optional[MetricsRegistry] = None) -> Metr
             continue
         seen_gcache = True
         gc.counter("hint_fills").inc(mgmt.hint_fills)
-        gc.counter("total_fills").inc(mgmt.total_fills)
+        gc.counter("total_fills").inc(l1.stats.fills + l1.stats.bypasses)
         gc.counter("agings").inc(mgmt.agings)
         gc.counter("switch.activations").inc(mgmt.switches.activations)
         gc.counter("switch.shutdowns").inc(mgmt.switches.shutdowns)

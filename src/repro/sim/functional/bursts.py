@@ -95,7 +95,7 @@ def l1_burst(
     ways = l1s[0].ways
     n_rows = C * num_sets
     tag2d = np.concatenate([l1.tag_np for l1 in l1s]).reshape(n_rows, ways)
-    use2d = np.array([l1.use for l1 in l1s], dtype=np.int64).reshape(
+    use2d = np.array([l1.use_count for l1 in l1s], dtype=np.int64).reshape(
         n_rows, ways
     )
     vc = np.array(
@@ -287,7 +287,7 @@ def l1_burst(
     for c, l1 in enumerate(l1s):
         l1.tag = tagf[c].tolist()
         l1.tag_np[:] = tagf[c]
-        l1.use = usef[c].tolist()
+        l1.use_count = usef[c].tolist()
         l1.valid_count = vcf[c].tolist()
         if lru:
             l1.stamp = stampf[c].tolist()

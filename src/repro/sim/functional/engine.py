@@ -46,14 +46,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.policies.base import ManagementPolicy
 from repro.sim.addressing import AddressMap
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
 from repro.sim.functional.bursts import l1_burst, l2_burst
-from repro.sim.functional.policies import (
+from repro.sim.functional.replacement import (
     FunctionalUnsupportedError,
-    MgmtModel,
-    build_models,
+    replacement_model,
 )
 from repro.sim.functional.streams import build_core_arrays
 from repro.sim.replay import ReplayResult, build_core_streams
@@ -70,9 +70,11 @@ _MAX_CHUNK = 4096
 
 
 class _L1State:
-    """Structure-of-arrays L1 mirror (FlatTagStore's flat layout).
+    """Structure-of-arrays L1 state (FlatTagStore's flat layout).
 
-    Hot state lives in plain Python lists — scalar element access on a
+    It carries the planes management policies are written against (see
+    :mod:`repro.cache.policies.base`), so each core's policy object
+    attaches to it directly.  Hot state lives in plain Python lists — scalar element access on a
     list is several times cheaper than NumPy item extraction, and the
     event path is scalar.  ``tag`` alone is mirrored into a dense NumPy
     plane (``tag_np`` flat / ``tag2d`` per-set view of the same buffer)
@@ -87,9 +89,9 @@ class _L1State:
         "tag2d",
         "stamp",
         "rrpv",
-        "use",
+        "use_count",
         "fill_time",
-        "pd",
+        "pd_counter",
         "valid_count",
     )
 
@@ -102,9 +104,9 @@ class _L1State:
         self.tag2d = self.tag_np.reshape(num_sets, ways)
         self.stamp = [0] * n
         self.rrpv = [0] * n
-        self.use = [0] * n
+        self.use_count = [0] * n
         self.fill_time = [0] * n
-        self.pd = [0] * n
+        self.pd_counter = [0] * n
         self.valid_count = [0] * num_sets
 
 
@@ -163,26 +165,42 @@ class FunctionalEngine:
         self.design = design if design is not None else make_design("bs")
         self.include_l2 = include_l2
         self.scheduler = scheduler
-        self.repl, self.mgmt = build_models(self.design)
-        self._batchable = self.mgmt.batchable
-        self._lru = self.repl.kind == "lru"
-        # Which hooks the model actually overrides; the event loop skips
-        # the Python call entirely for base-class no-ops.
-        mgmt_cls = type(self.mgmt)
-        self._null_mgmt = mgmt_cls is MgmtModel
-        self._has_choose = mgmt_cls.choose_victim is not MgmtModel.choose_victim
-        self._has_evict = mgmt_cls.on_evict is not MgmtModel.on_evict
-        self._has_insert = mgmt_cls.on_insert is not MgmtModel.on_insert
         cfg = self.config
         self.l1 = [
             _L1State(cfg.l1_sets, cfg.l1_ways) for _ in range(cfg.num_cores)
         ]
-        self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
-        self._mgmt_st = [
-            self.mgmt.new_core(cfg.l1_sets, cfg.l1_ways)
-            for _ in range(cfg.num_cores)
+        # One real management policy per core, attached to that core's
+        # L1 planes, just as the timing memory system builds one per L1.
+        repls = [self.design.make_l1_replacement() for _ in self.l1]
+        self.repl = replacement_model(repls[0], self.design.key)
+        self.mgmt: List[ManagementPolicy] = [
+            self.design.make_l1_mgmt() for _ in self.l1
         ]
-        self._tick_interval = self.mgmt.tick_interval
+        for c, policy in enumerate(self.mgmt):
+            policy.attach(self.l1[c], repls[c], f"L1[{c}]")
+        policy = self.mgmt[0]
+        self._batchable = policy.batchable
+        self._lru = self.repl.kind == "lru"
+        # Which hooks the policy overrides; the event loops skip the
+        # Python call entirely for base-class no-ops.
+        has = {
+            hook: getattr(type(policy), hook)
+            is not getattr(ManagementPolicy, hook)
+            for hook in (
+                "on_hit", "on_miss", "fill_decision", "on_bypass",
+                "choose_victim", "on_evict", "on_insert",
+            )
+        }
+        self._has_hit = has["on_hit"]
+        self._has_miss = has["on_miss"]
+        self._has_fill = has["fill_decision"]
+        self._has_bypass = has["on_bypass"]
+        self._has_choose = has["choose_victim"]
+        self._has_evict = has["on_evict"]
+        self._has_insert = has["on_insert"]
+        self._tick_interval = max(0, policy.tick_interval)
+        self._null_mgmt = not self._tick_interval and not any(has.values())
+        self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
         self._chunk = [64] * cfg.num_cores
         self.l2: List[_L2Bank] = []
@@ -348,11 +366,11 @@ class FunctionalEngine:
 
         Valid when the design raises no victim-bit hints and has no
         periodic tick: L1 evolution is then a pure function of the
-        core-private stream (mgmt state is per-core and never reads
-        ``now``), and the L2 event stream is order-observable only
-        within each (bank, set) — exactly what the burst kernel
-        preserves.  ``fill_time`` is not maintained on this path (only
-        the PDP family reads it, and PDP never routes here).
+        core-private stream (each core's policy is its own and, being
+        batchable, never reads ``now``), and the L2 event stream is
+        order-observable only within each (bank, set) — exactly what the
+        burst kernel preserves.  ``fill_time`` is not maintained on this
+        path (batchable policies do not read it).
         """
         if self._null_mgmt:
             self._run_decoupled_burst(arrays)
@@ -505,7 +523,7 @@ class FunctionalEngine:
         ways = l1.ways
         tag = l1.tag
         tag_np = l1.tag_np
-        use = l1.use
+        use = l1.use_count
         stamp = l1.stamp
         rrpv = l1.rrpv
         vc_l = l1.valid_count
@@ -515,19 +533,19 @@ class FunctionalEngine:
         n = A.n
         lru = self._lru
         rst = self._repl_st[c]
-        null_mgmt = self._null_mgmt
-        mgmt = self.mgmt
-        mst = self._mgmt_st[c]
+        has_fill = self._has_fill
+        has_bypass = self._has_bypass
         has_choose = self._has_choose
         has_evict = self._has_evict
         has_insert = self._has_insert
         insertion_rrpv = self.repl.insertion_rrpv
         select_victim = self.repl.select_victim
-        fill_decision = mgmt.fill_decision
-        on_bypass = mgmt.on_bypass
-        choose_victim = mgmt.choose_victim
-        on_evict = mgmt.on_evict
-        on_insert = mgmt.on_insert
+        policy = self.mgmt[c]
+        fill_decision = policy.fill_decision
+        on_bypass = policy.on_bypass
+        choose_victim = policy.choose_victim
+        on_evict = policy.on_evict
+        on_insert = policy.on_insert
         reuse = self.l1_reuse
         append = ev.append
         probe_fold = self._probe_fold
@@ -574,27 +592,21 @@ class FunctionalEngine:
                 streak += 1
                 continue
             # Load miss: fill inline.  Hints never fire on this path and
-            # no mgmt model here reads `now` (see docstring), so pass 0.
+            # no batchable policy reads `now` (see docstring), so pass 0.
             loads += 1
             append(pos)
             streak = 0
-            bypass = False
-            if not null_mgmt:
-                bypass = fill_decision(mst, l1, set_index, line, False, 0)
-            if bypass:
+            if has_fill and fill_decision(set_index, line, False, 0):
                 bypasses += 1
-                on_bypass(mst, l1, set_index, 0)
+                if has_bypass:
+                    on_bypass(set_index, 0)
             else:
                 vcv = vc_l[set_index]
                 if vcv < ways:
                     way = vcv
                     vc_l[set_index] = vcv + 1
                 else:
-                    way = (
-                        choose_victim(mst, l1, set_index, 0)
-                        if has_choose
-                        else None
-                    )
+                    way = choose_victim(set_index, 0) if has_choose else None
                     if way is None:
                         if lru:
                             sseg = stamp[base : base + ways]
@@ -605,7 +617,7 @@ class FunctionalEngine:
                     evictions += 1
                     reuse[use[idx]] += 1
                     if has_evict:
-                        on_evict(mst, l1, idx, 0)
+                        on_evict(idx, 0)
                 idx = base + way
                 tag[idx] = line
                 tag_np[idx] = line
@@ -618,7 +630,7 @@ class FunctionalEngine:
                 else:
                     rrpv[idx] = insertion_rrpv
                 if has_insert:
-                    on_insert(mst, l1, idx, False, 0)
+                    on_insert(idx, False, 0)
             pos += 1
         self.l1_loads += loads
         self.l1_stores += stores
@@ -647,7 +659,7 @@ class FunctionalEngine:
         line = A.line
         set1 = A.set1
         write = A.write
-        use = l1.use
+        use = l1.use_count
         ways = l1.ways
         rst = self._repl_st[c]
         on_hit_run = self.repl.on_hit_run
@@ -719,14 +731,15 @@ class FunctionalEngine:
         pop = heapq.heappop
         advance = self._advance_fold
         pos_l = self._pos
-        null_mgmt = self._null_mgmt
+        has_fill = self._has_fill
+        has_bypass = self._has_bypass
         has_choose = self._has_choose
         has_evict = self._has_evict
         has_insert = self._has_insert
         tick_interval = self._tick_interval
         tick_left = self._tick_left
-        mgmt = self.mgmt
-        mgmt_st = self._mgmt_st
+        tick_run = self._tick_run
+        policies = self.mgmt
         repl_st = self._repl_st
         l1s = self.l1
         l2 = self.l2
@@ -734,14 +747,11 @@ class FunctionalEngine:
         lru = self._lru
         insertion_rrpv = self.repl.insertion_rrpv
         max_rrpv = self.repl.max_rrpv
-        fill_gate = mgmt.fill_gate_switches and not null_mgmt
-        insert_skip_cold = mgmt.insert_skip_cold
-        select_victim = self.repl.select_victim
-        fill_decision = mgmt.fill_decision
-        on_bypass = mgmt.on_bypass
-        choose_victim = mgmt.choose_victim
-        on_evict = mgmt.on_evict
-        on_insert = mgmt.on_insert
+        # Declared no-op fill path (ManagementPolicy.fill_gate_switches):
+        # a hint-free fill into a set whose switch byte is 0 never
+        # bypasses, so the call is skipped.
+        fill_gate = has_fill and policies[0].fill_gate_switches
+        insert_skip_cold = policies[0].insert_skip_cold
         flush = self._flush_stores
         S2 = self.config.l2_bank_sets
         l1_reuse = self.l1_reuse
@@ -761,9 +771,10 @@ class FunctionalEngine:
         core_cols = [
             (
                 A.line_l, A.write_l, A.set1_l, A.now_l, A.part_l,
-                A.local_l, A.set2_l, A.n, l1s[c], l1s[c].tag,
-                l1s[c].tag_np, l1s[c].use, l1s[c].stamp, l1s[c].rrpv,
-                l1s[c].valid_count, l1s[c].ways, repl_st[c], mgmt_st[c],
+                A.local_l, A.set2_l, A.n, l1s[c].tag,
+                l1s[c].tag_np, l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
+                l1s[c].valid_count, l1s[c].ways, repl_st[c], policies[c],
+                policies[c].switches.bits if fill_gate else None,
             )
             for c, A in enumerate(arrays)
         ]
@@ -780,8 +791,8 @@ class FunctionalEngine:
         while heap:
             now, c = pop(heap)
             (line_l, write_l, set1_l, now_l, part_l, local_l, set2_l,
-             n, l1, tag, tag_np, use, stamp, rrpv, l1_vc, ways, rst,
-             mst) = core_cols[c]
+             n, tag, tag_np, use, stamp, rrpv, l1_vc, ways, rst,
+             policy, gate) = core_cols[c]
             p = pos_l[c]
             pos_l[c] = p + 1
             line = line_l[p]
@@ -793,7 +804,7 @@ class FunctionalEngine:
                     tick_left[c] = left
                 else:
                     tick_left[c] = tick_interval
-                    mgmt.on_tick_fire(mst)
+                    policy.on_tick(now)
             # The walk stops only at L1 load misses, so this event is one.
             l1_loads += 1
             part = part_l[p]
@@ -842,17 +853,14 @@ class FunctionalEngine:
                     contentions += 1
                     hint = True
             # L1 fill.
-            bypass = False
-            if not null_mgmt:
-                if fill_gate and not hint and not mst.switches[set_index]:
-                    pass  # declared no-op path: never bypasses
-                else:
-                    bypass = fill_decision(
-                        mst, l1, set_index, line, hint, now
-                    )
-            if bypass:
+            if (
+                has_fill
+                and (hint or gate is None or gate[set_index])
+                and policy.fill_decision(set_index, line, hint, now)
+            ):
                 l1_bypasses += 1
-                on_bypass(mst, l1, set_index, now)
+                if has_bypass:
+                    policy.on_bypass(set_index, now)
             else:
                 vc = l1_vc[set_index]
                 if vc < ways:
@@ -860,7 +868,7 @@ class FunctionalEngine:
                     l1_vc[set_index] = vc + 1
                 else:
                     way = (
-                        choose_victim(mst, l1, set_index, now)
+                        policy.choose_victim(set_index, now)
                         if has_choose
                         else None
                     )
@@ -884,13 +892,13 @@ class FunctionalEngine:
                     l1_evictions += 1
                     l1_reuse[use[idx]] += 1
                     if has_evict:
-                        on_evict(mst, l1, idx, now)
+                        policy.on_evict(idx, now)
                 idx = base + way
                 tag[idx] = line
                 tag_np[idx] = line
                 use[idx] = 0
-                # fill_time is not maintained here: only the PDP family
-                # reads it, and PDP never routes through the miss heap.
+                # fill_time is not maintained here: only non-batchable
+                # policies read it, and they never route through the heap.
                 l1_fills += 1
                 if lru:
                     rst[0] += 1
@@ -898,7 +906,7 @@ class FunctionalEngine:
                 else:
                     rrpv[idx] = insertion_rrpv
                 if has_insert and (hint or not insert_skip_cold):
-                    on_insert(mst, l1, idx, hint, now)
+                    policy.on_insert(idx, hint, now)
             # Re-arm: walk this core inline through hits and stores to
             # its next load miss.  Runs here are short (the heap only
             # exists because the stream is miss-heavy), so the per-call
@@ -952,14 +960,7 @@ class FunctionalEngine:
                     break
             pos_l[c] = p
             if tick_interval and processed:
-                left = tick_left[c]
-                if processed >= left:
-                    mgmt.on_tick_fire(mgmt_st[c])
-                    tick_left[c] = tick_interval - (
-                        (processed - left) % tick_interval
-                    )
-                else:
-                    tick_left[c] = left - processed
+                tick_run(c, processed, now_l[p - 1])
             if p < n:
                 if streak >= _PROBE_THRESHOLD:
                     t = advance(c, pending)
@@ -994,9 +995,7 @@ class FunctionalEngine:
         its (bank, set) pending buffer as ``(now, local)``.  Stops at
         the next L1 load miss and returns its precomputed time (``None``
         at end of stream).  The periodic tick counts every access walked
-        here; all fires within the run collapse to one because nothing
-        inside a run reads switch state (only load-miss fill decisions
-        do) and neither hits nor stores re-arm switches.
+        here (see :meth:`_tick_run`).
         """
         A = self._arrays[c]
         pos = self._pos[c]
@@ -1013,7 +1012,7 @@ class FunctionalEngine:
         part_l = A.part_l
         local_l = A.local_l
         set2_l = A.set2_l
-        use = l1.use
+        use = l1.use_count
         rst = self._repl_st[c]
         lru = self._lru
         stamp = l1.stamp
@@ -1078,16 +1077,8 @@ class FunctionalEngine:
                 streak += 1
                 continue
             break  # load miss: park in the heap
-        processed = pos - start
-        if self._tick_interval and processed:
-            left = self._tick_left[c]
-            if processed >= left:
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
-                self._tick_left[c] = self._tick_interval - (
-                    (processed - left) % self._tick_interval
-                )
-            else:
-                self._tick_left[c] = left - processed
+        if self._tick_interval and pos > start:
+            self._tick_run(c, pos - start, now_l[pos - 1])
         self._pos[c] = pos
         self.l1_loads += loads
         self.l1_load_hits += load_hits
@@ -1096,6 +1087,25 @@ class FunctionalEngine:
         if pos >= n:
             return None
         return now_l[pos]
+
+    def _tick_run(self, c: int, accesses: int, now: int) -> None:
+        """Count a walked run of ``accesses`` down core ``c``'s tick.
+
+        Every tick that falls inside the run is delivered at its end
+        (``now`` is the run's last access time, used only for tracing).
+        That is exact for batchable policies: hits and stores call no
+        hook, so nothing in the run can observe when a tick fired.
+        """
+        left = self._tick_left[c]
+        if accesses < left:
+            self._tick_left[c] = left - accesses
+            return
+        interval = self._tick_interval
+        over = accesses - left
+        self._tick_left[c] = interval - over % interval
+        on_tick = self.mgmt[c].on_tick
+        for _ in range(1 + over // interval):
+            on_tick(now)
 
     def _flush_stores(
         self, bank: _L2Bank, bset: int, buf: list, upto: Optional[int]
@@ -1186,7 +1196,7 @@ class FunctionalEngine:
             return now_l[pos]
         # At least one load hit: bind the rest of the state and walk.
         n = A.n
-        use = l1.use
+        use = l1.use_count
         st = self._repl_st[c]
         lru = self._lru
         stamp = l1.stamp
@@ -1216,16 +1226,7 @@ class FunctionalEngine:
         self.l1_loads += hits
         self.l1_load_hits += hits
         if self._tick_interval:
-            # `hits` accesses of shutdown countdown; all fires within
-            # the run collapse to one (hits never re-arm switches).
-            left = self._tick_left[c]
-            if hits >= left:
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
-                self._tick_left[c] = self._tick_interval - (
-                    (hits - left) % self._tick_interval
-                )
-            else:
-                self._tick_left[c] = left - hits
+            self._tick_run(c, hits, now_l[pos - 1])
         self._pos[c] = pos
         if pos >= n:
             return None
@@ -1247,7 +1248,7 @@ class FunctionalEngine:
         line = A.line
         set1 = A.set1
         write = A.write
-        use = l1.use
+        use = l1.use_count
         ways = l1.ways
         st = self._repl_st[c]
         chunk = self._chunk[c]
@@ -1302,7 +1303,7 @@ class FunctionalEngine:
                 self._tick_left[c] = left
             else:
                 self._tick_left[c] = self._tick_interval
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
+                self.mgmt[c].on_tick(now)
         is_write = A.write_l[p]
         if is_write:
             self.l1_stores += 1
@@ -1311,7 +1312,7 @@ class FunctionalEngine:
         if line in seg:
             hit = True
             idx = base + seg.index(line)
-            l1.use[idx] += 1
+            l1.use_count[idx] += 1
             if is_write:
                 self.l1_store_hits += 1
             else:
@@ -1322,15 +1323,12 @@ class FunctionalEngine:
                 l1.stamp[idx] = st[0]
             else:
                 l1.rrpv[idx] = 0
-            if not self._batchable:
-                # Only the PDP family defines hit/miss hooks.
-                self.mgmt.on_hit(
-                    self._mgmt_st[c], l1, set_index, idx, line, now
-                )
+            if self._has_hit:
+                self.mgmt[c].on_hit(set_index, idx, now)
         else:
             hit = False
-            if not self._batchable:
-                self.mgmt.on_miss(self._mgmt_st[c], l1, set_index, now)
+            if self._has_miss:
+                self.mgmt[c].on_miss(set_index, now)
         if is_write:
             if self.include_l2:
                 self._l2_access(
@@ -1348,12 +1346,12 @@ class FunctionalEngine:
         self, c: int, line: int, set_index: int, now: int, hint: bool
     ) -> None:
         l1 = self.l1[c]
-        st = self._mgmt_st[c]
-        if not self._null_mgmt:
-            if self.mgmt.fill_decision(st, l1, set_index, line, hint, now):
-                self.l1_bypasses += 1
-                self.mgmt.on_bypass(st, l1, set_index, now)
-                return
+        policy = self.mgmt[c]
+        if self._has_fill and policy.fill_decision(set_index, line, hint, now):
+            self.l1_bypasses += 1
+            if self._has_bypass:
+                policy.on_bypass(set_index, now)
+            return
         ways = l1.ways
         base = set_index * ways
         vc = l1.valid_count[set_index]
@@ -1364,7 +1362,7 @@ class FunctionalEngine:
             l1.valid_count[set_index] = vc + 1
         else:
             way = (
-                self.mgmt.choose_victim(st, l1, set_index, now)
+                policy.choose_victim(set_index, now)
                 if self._has_choose
                 else None
             )
@@ -1374,13 +1372,13 @@ class FunctionalEngine:
                 )
             idx = base + way
             self.l1_evictions += 1
-            self.l1_reuse[l1.use[idx]] += 1
+            self.l1_reuse[l1.use_count[idx]] += 1
             if self._has_evict:
-                self.mgmt.on_evict(st, l1, idx, now)
+                policy.on_evict(idx, now)
         idx = base + way
         l1.tag[idx] = line
         l1.tag_np[idx] = line
-        l1.use[idx] = 0
+        l1.use_count[idx] = 0
         l1.fill_time[idx] = now
         self.l1_fills += 1
         if self._lru:
@@ -1390,7 +1388,7 @@ class FunctionalEngine:
         else:
             l1.rrpv[idx] = self.repl.insertion_rrpv
         if self._has_insert:
-            self.mgmt.on_insert(st, l1, idx, hint, now)
+            policy.on_insert(idx, hint, now)
 
     def _l2_access(
         self, core: int, part: int, local: int, set_index: int, now: int,
@@ -1454,7 +1452,7 @@ class FunctionalEngine:
         """
         l1_reuse = Counter(self.l1_reuse)
         if self.l1:
-            use = np.array([l1.use for l1 in self.l1], dtype=np.int64)
+            use = np.array([l1.use_count for l1 in self.l1], dtype=np.int64)
             tag = np.array([l1.tag for l1 in self.l1], dtype=np.int64)
             vals, cnts = np.unique(use[tag != -1], return_counts=True)
             for v, cnt in zip(vals.tolist(), cnts.tolist()):

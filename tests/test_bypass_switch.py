@@ -31,23 +31,6 @@ class TestSwitching:
 
 
 class TestPeriodicShutdown:
-    def test_reset_after_interval(self):
-        switches = BypassSwitchArray(4, shutdown_interval=3)
-        switches.turn_on(0)
-        switches.tick()
-        switches.tick()
-        assert switches.is_on(0)
-        switches.tick()
-        assert not switches.is_on(0)
-        assert switches.shutdowns == 1
-
-    def test_interval_zero_never_resets(self):
-        switches = BypassSwitchArray(4, shutdown_interval=0)
-        switches.turn_on(0)
-        for _ in range(100):
-            switches.tick()
-        assert switches.is_on(0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BypassSwitchArray(0)

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
 from repro.cache.policies.base import FillContext
-from repro.cache.policies.pdp import StaticPDPPolicy
+from repro.cache.policies.dead_block import DeadBlockPolicy
+from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
 from repro.cache.reference import ReferenceCache
 from repro.cache.replacement.lru import FIFOPolicy, LRUPolicy, MRUPolicy
 from repro.cache.replacement.rrip import BRRIPPolicy, SRRIPPolicy
@@ -52,6 +53,18 @@ CONFIGS = {
     "lru-spdp": lambda: dict(
         replacement=LRUPolicy(),
         mgmt=StaticPDPPolicy(pd=3, bypass=True),
+    ),
+    "lru-pdp3": lambda: dict(
+        replacement=LRUPolicy(),
+        # A short epoch so short streams reach the sampler's PD update.
+        mgmt=DynamicPDPPolicy(counter_bits=3, epoch_accesses=16),
+    ),
+    "lru-dbp": lambda: dict(replacement=LRUPolicy(), mgmt=DeadBlockPolicy()),
+    "srrip-gcache-adaptive": lambda: dict(
+        replacement=SRRIPPolicy(bits=2),
+        mgmt=GCachePolicy(
+            GCacheConfig(adaptive_aging=True, aging_epoch=8, max_m=4)
+        ),
     ),
     "lru-writeback": lambda: dict(
         replacement=LRUPolicy(), write_back=True, write_allocate=True

@@ -80,13 +80,13 @@ class TestVictimPreference:
         cache.lookup(0, now=11)
         # Same set, different predictor region, second way.
         cache.fill(8 * cache.num_sets, now=12)
-        victim_way = policy.choose_victim(cache, cache.set_index(0), now=13)
+        victim_way = policy.choose_victim(cache.set_index(0), now=13)
         assert victim_way == cache.find_way(0)
 
     def test_defers_when_no_dead_line(self):
         cache, policy = dbp_cache()
         cache.fill(0, now=0)
-        assert policy.choose_victim(cache, cache.set_index(0), now=1) is None
+        assert policy.choose_victim(cache.set_index(0), now=1) is None
 
 
 class TestValidation:

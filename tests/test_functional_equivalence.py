@@ -33,14 +33,15 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.core.gcache import GCacheConfig
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DESIGN_KEYS, DesignSpec, make_design
-from repro.sim.functional import functional_replay
+from repro.sim.functional import FunctionalEngine, functional_replay
 from repro.sim.replay import SCHEDULERS, replay
 from repro.trace.suite import build_benchmark
 from repro.trace.trace import CTATrace, KernelTrace, OP_ALU, OP_LOAD, OP_STORE
 
 # ---------------------------------------------------------------------------
 # Design matrix: every registry key, plus off-registry parameterizations
-# that exercise the config-sensitive corners of each functional model.
+# that drive the config-sensitive corners of each policy through the
+# engine's replay paths.
 # ---------------------------------------------------------------------------
 
 
@@ -75,7 +76,7 @@ ALL_DESIGNS = tuple(DESIGN_KEYS) + (
     "pdp-small-epoch",
 )
 
-#: One design per functional-model family, for the expensive sweeps.
+#: One design per policy family, for the expensive sweeps.
 FAMILY_DESIGNS = ("bs", "bs-s", "pdp-3", "spdp-b", "gc", "dbp")
 
 
@@ -134,6 +135,18 @@ def test_design_matches_oracle_spmv(key, spmv_trace, config):
 @pytest.mark.parametrize("key", ALL_DESIGNS)
 def test_design_matches_oracle_bfs(key, bfs_trace, config):
     assert_equivalent(bfs_trace, config, _design(key))
+
+
+@pytest.mark.parametrize("key", DESIGN_KEYS)
+def test_engine_drives_the_designs_own_policies(key, config):
+    """The functional backend keeps no policy copies: each core runs a
+    fresh instance of exactly the class the design builds for an L1."""
+    design = _design(key)
+    engine = FunctionalEngine(config, design)
+    expected = type(design.make_l1_mgmt())
+    assert [type(p) for p in engine.mgmt] == [expected] * config.num_cores
+    assert len({id(p) for p in engine.mgmt}) == config.num_cores
+    assert all(p.store is l1 for p, l1 in zip(engine.mgmt, engine.l1))
 
 
 # ---------------------------------------------------------------------------

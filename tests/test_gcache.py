@@ -47,6 +47,34 @@ class TestAttachment:
         with pytest.raises(ValueError):
             GCacheConfig(th_hot_victim=-1)
 
+    def test_negative_insertion_rrpv_rejected(self):
+        with pytest.raises(ValueError, match="hot_insert_rrpv"):
+            GCacheConfig(hot_insert_rrpv=-2)
+        with pytest.raises(ValueError, match="cold_insert_rrpv"):
+            GCacheConfig(cold_insert_rrpv=-1)
+
+    @pytest.mark.parametrize("field", ["hot_insert_rrpv", "cold_insert_rrpv"])
+    def test_insertion_rrpv_above_max_rejected_at_attach(self, field):
+        cfg = GCacheConfig(**{field: 8})  # 3-bit SRRIP: max RRPV 7
+        with pytest.raises(ValueError, match=f"{field}=8 exceeds"):
+            Cache("L1", 512, 2, LINE, SRRIPPolicy(bits=3), mgmt=GCachePolicy(cfg))
+
+    def test_max_insertion_rrpv_accepted(self):
+        cfg = GCacheConfig(hot_insert_rrpv=7, cold_insert_rrpv=7)
+        Cache("L1", 512, 2, LINE, SRRIPPolicy(bits=3), mgmt=GCachePolicy(cfg))
+
+    def test_out_of_range_insertion_rrpv_fails_on_both_backends(self):
+        from repro.sim.config import GPUConfig
+        from repro.sim.designs import make_design
+        from repro.sim.functional import FunctionalEngine
+        from repro.sim.memory_system import MemorySystem
+
+        design = make_design("gc", gcache_config=GCacheConfig(cold_insert_rrpv=9))
+        with pytest.raises(ValueError, match="cold_insert_rrpv=9"):
+            MemorySystem(GPUConfig(), design)
+        with pytest.raises(ValueError, match="cold_insert_rrpv=9"):
+            FunctionalEngine(GPUConfig(), design)
+
 
 class TestBypassSwitchControl:
     def test_victim_hint_turns_switch_on(self):
@@ -223,4 +251,36 @@ class TestDiagnostics:
         hot_fill(cache, 0, now=0)
         cache.fill(2, now=1)
         assert pol.hint_fills == 1
-        assert pol.total_fills == 2
+        # Every fill decision ends as an insert or a bypass.
+        assert cache.stats.fills + cache.stats.bypasses == 2
+
+
+class TestBatchContracts:
+    """The functional engine skips calls on the strength of these
+    declarations, so they must hold for the class that makes them."""
+
+    @staticmethod
+    def state(pol):
+        return (
+            bytes(pol.switches.bits), pol.m, pol.hint_fills,
+            pol._epoch_fills, pol._epoch_hints, list(pol._bypass_counters),
+        )
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_fill_gate_declared_only_when_side_effect_free(self, adaptive):
+        cache, pol = gcache(config=GCacheConfig(adaptive_aging=adaptive))
+        cache.fill(0, now=0)
+        cache.fill(2, now=1)  # set 0 full, switch off
+        before = self.state(pol)
+        assert pol.fill_decision(0, 4, False, 2) is False
+        assert pol.fill_gate_switches is not adaptive
+        assert (self.state(pol) == before) is pol.fill_gate_switches
+
+    @pytest.mark.parametrize("cold", [None, 7])
+    def test_insert_skip_cold_declared_only_for_default_insertion(self, cold):
+        cache, pol = gcache(config=GCacheConfig(cold_insert_rrpv=cold))
+        cache.fill(0, now=0)
+        pol.store.rrpv[0] = 3
+        pol.on_insert(0, False, 1)
+        assert pol.insert_skip_cold is (cold is None)
+        assert (pol.store.rrpv[0] == 3) is pol.insert_skip_cold

@@ -38,7 +38,7 @@ class TestStaticPDPProtection:
         cache.fill(0, now=0)
         cache.lookup(2, now=1)
         cache.lookup(0, now=2)   # hit: PDC reset
-        assert cache.sets[0][0].pd_counter == pol._initial_pdc()
+        assert cache.sets[0][0].pd_counter == pol.initial_pdc
 
     def test_bypass_when_all_protected(self):
         cache, pol = pdp_cache(pd=8, ways=2)
@@ -74,12 +74,12 @@ class TestQuantizedCounters:
     def test_small_pd_no_quantization(self):
         pol = StaticPDPPolicy(pd=6, counter_bits=3)
         assert pol.step == 1
-        assert pol._initial_pdc() == 6
+        assert pol.initial_pdc == 6
 
     def test_large_pd_quantized(self):
         pol = StaticPDPPolicy(pd=21, counter_bits=3)  # max counter 7
         assert pol.step == 3
-        assert pol._initial_pdc() == 7
+        assert pol.initial_pdc == 7
 
     def test_8bit_counters_exact_for_table3_range(self):
         # Table 3's largest optimal PD is 68; 8-bit PDCs hold it exactly.
