@@ -79,7 +79,7 @@ from repro.faults import FaultPlan
 from repro.obs import Observability
 from repro.obs.events import EVENT_KINDS
 from repro.runner import CampaignEngine, ResultCache
-from repro.sim.config import GPUConfig
+from repro.sim.config import WARP_SCHEDULERS, GPUConfig
 from repro.sim.designs import DESIGN_KEYS, make_design
 from repro.sim.simulator import FIDELITIES, simulate
 from repro.stats.energy import EnergyModel
@@ -112,7 +112,7 @@ def _add_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l1-size", type=int, default=32 * 1024,
                         help="L1 capacity in bytes (Table 2: 32768)")
     parser.add_argument("--scheduler", default="lrr",
-                        choices=["lrr", "gto", "two-level", "throttle"])
+                        choices=WARP_SCHEDULERS)
 
 
 def _add_fidelity(parser: argparse.ArgumentParser) -> None:

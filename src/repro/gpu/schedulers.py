@@ -145,17 +145,15 @@ def make_scheduler(name: str, **kwargs) -> WarpScheduler:
     """Build a warp scheduler by name."""
     # Imported lazily: the throttle scheduler depends on this module.
     from repro.gpu.throttle import ThrottleScheduler
+    from repro.sim.config import WARP_SCHEDULERS
 
-    registry = {
-        "lrr": LRRScheduler,
-        "gto": GTOScheduler,
-        "two-level": TwoLevelScheduler,
-        "throttle": ThrottleScheduler,
-    }
-    try:
-        cls = registry[name]
-    except KeyError:
+    if name not in WARP_SCHEDULERS:
         raise ValueError(
-            f"unknown scheduler {name!r}; known: {sorted(registry)}"
-        ) from None
-    return cls(**kwargs)
+            f"unknown scheduler {name!r}; known: {list(WARP_SCHEDULERS)}"
+        )
+    registry = {
+        cls.name: cls
+        for cls in (LRRScheduler, GTOScheduler, TwoLevelScheduler,
+                    ThrottleScheduler)
+    }
+    return registry[name](**kwargs)

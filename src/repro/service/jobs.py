@@ -126,6 +126,10 @@ class JobSpec:
             raise SpecError(f"retries must be >= 0, got {self.retries}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise SpecError(f"task_timeout must be > 0, got {self.task_timeout}")
+        try:
+            self.config()
+        except ValueError as exc:
+            raise SpecError(f"invalid configuration: {exc}") from None
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.dram.timing import GDDR5Timing
 
-__all__ = ["GPUConfig"]
+__all__ = ["GPUConfig", "WARP_SCHEDULERS"]
+
+#: Warp scheduler names :func:`repro.gpu.schedulers.make_scheduler` builds.
+WARP_SCHEDULERS = ("lrr", "gto", "two-level", "throttle")
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,17 @@ class GPUConfig:
             raise ValueError("L1 geometry does not divide evenly")
         if self.l2_bank_size % (self.l2_ways * self.line_size) != 0:
             raise ValueError("L2 bank geometry does not divide evenly")
+        # Set indexing masks the line address, as every cache model does.
+        for name, sets in (("L1", self.l1_sets), ("L2 bank", self.l2_bank_sets)):
+            if sets < 1 or sets & (sets - 1):
+                raise ValueError(
+                    f"{name} set count must be a power of two, got {sets}"
+                )
+        if self.warp_scheduler not in WARP_SCHEDULERS:
+            raise ValueError(
+                f"unknown warp scheduler {self.warp_scheduler!r}; "
+                f"known: {', '.join(WARP_SCHEDULERS)}"
+            )
         if self.max_warps_per_core < 1:
             raise ValueError("need at least one warp slot per core")
         if self.noc_topology not in ("mesh", "crossbar"):

@@ -2,38 +2,42 @@
 
 Bit-identical (by contract and by ``tests/test_functional_equivalence.py``)
 to the scalar oracle :func:`repro.sim.replay.replay`, at a fraction of the
-cost.  The speed comes from four observations about the oracle:
+cost.  The speed comes from three observations about the oracle:
 
 1. Its global interleave is a pure function of the per-core stream
    lengths, so every transaction's global time is precomputed up front
    (:mod:`repro.sim.functional.streams`).
-2. L1 state is core-private, and for the batchable designs (bs, bs-s,
-   gc, gc-m, dbp) neither load hits **nor stores** touch any bypass
-   decision state (L1 is write-through no-allocate: store misses leave
-   L1 untouched, store hits restamp exactly like load hits).  Runs of
-   hits and stores are therefore applied eagerly per core — walked
-   scalar over plain-list state, escalating to chunked NumPy probes
-   once a run proves long — without consulting the global order.
+2. L1 state, including each core's management policy, is core-private.
+   The L1 is write-through no-allocate, so store misses leave it
+   untouched and store hits restamp exactly like load hits.
 3. The only globally-ordered state is the shared L2 (tags, recency,
    dirty bits, victim bits), and it is all **per-(bank, set)**: the
-   observable order is per-set order, not global order.  Designs that
-   never feed L2 state back into L1 decisions (no victim-bit hints:
-   bs, bs-s, dbp) replay L1 to completion per core, then apply the
-   entire L2 event stream as batched per-set bursts with vectorized
-   victim selection (:mod:`repro.sim.functional.bursts`) — no heap at
-   all.
-4. The hint-coupled G-Cache designs (gc, gc-m) must resolve each load
-   miss in order (the hint changes the fill, which changes the core's
-   future hits), so their load misses still drain through a min-heap —
-   but *only* load misses: stores are folded into the per-core runs and
-   their L2 effects parked in per-(bank, set) buffers, flushed in time
-   order just before the next same-set miss.  A store's time is always
-   below every parked miss time when its core walks past it, so the
-   deferral never reorders observable same-set state.
+   observable order is per-set order, not global order.
 
-The PDP designs mutate per-set clocks and samplers on every access, so
-they run through the generic event loop with batching disabled (every
-access is an event); their win comes only from the precomputed streams.
+:meth:`FunctionalEngine.run` picks one of two routes on a single fact:
+does L2 state feed back into L1?
+
+* **No feedback** (no victim-bit hints and no periodic tick: bs, bs-s,
+  dbp and the PDP family).  L1 evolution is then a pure function of the
+  core's own stream, so each core's L1 replays start to finish on its
+  own, and the entire L2 event stream follows as batched per-set bursts
+  with vectorized victim selection (:mod:`repro.sim.functional.bursts`).
+  Null-management designs replay L1 as a burst too; managed designs
+  walk it scalar, calling the policy's hooks with the precomputed
+  ``now`` of each access.  That makes the walk exact even for policies
+  that act on every access: PDP's per-set clocks, PDCs and sampler all
+  live in the core's own policy object, and its victim order reads the
+  ``fill_time`` the walk stores.  Batchable policies, whose hits touch
+  no policy state, escalate long hit runs to chunked NumPy probes.
+* **Feedback** (gc, gc-m: a hint changes the fill, which changes the
+  core's future hits).  Load misses must resolve in global order, so
+  they drain through a min-heap — but *only* load misses: hits and
+  stores are folded into the per-core walks and the stores' L2 effects
+  parked in per-(bank, set) buffers, flushed in time order just before
+  the next same-set miss.  A store's time is always below every parked
+  miss time when its core walks past it, so the deferral never reorders
+  observable same-set state.  The walks skip the hit hooks, so this
+  route requires a batchable policy.
 """
 
 from __future__ import annotations
@@ -156,14 +160,12 @@ class FunctionalEngine:
         self,
         config: Optional[GPUConfig] = None,
         design: Optional[DesignSpec] = None,
-        include_l2: bool = True,
         victim_share_factor: int = 1,
         scheduler: str = "lrr",
         profile: bool = False,
     ) -> None:
         self.config = config if config is not None else GPUConfig()
         self.design = design if design is not None else make_design("bs")
-        self.include_l2 = include_l2
         self.scheduler = scheduler
         cfg = self.config
         self.l1 = [
@@ -181,7 +183,7 @@ class FunctionalEngine:
         policy = self.mgmt[0]
         self._batchable = policy.batchable
         self._lru = self.repl.kind == "lru"
-        # Which hooks the policy overrides; the event loops skip the
+        # Which hooks the policy overrides; the replay loops skip the
         # Python call entirely for base-class no-ops.
         has = {
             hook: getattr(type(policy), hook)
@@ -200,28 +202,37 @@ class FunctionalEngine:
         self._has_insert = has["on_insert"]
         self._tick_interval = max(0, policy.tick_interval)
         self._null_mgmt = not self._tick_interval and not any(has.values())
+        # Victim-bit hints and periodic ticks are the only ways L2 state
+        # or the global clock reach back into L1 decisions.
+        self._feedback = self.design.uses_victim_bits or bool(
+            self._tick_interval
+        )
+        if self._feedback and not self._batchable:
+            raise FunctionalUnsupportedError(
+                f"design {self.design.key!r}: a policy with victim-bit "
+                f"hints or a periodic tick must be batchable "
+                f"({type(policy).__name__} is not)"
+            )
         self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
         self._chunk = [64] * cfg.num_cores
-        self.l2: List[_L2Bank] = []
+        self.l2 = [
+            _L2Bank(cfg.l2_bank_sets, cfg.l2_ways)
+            for _ in range(cfg.num_partitions)
+        ]
         self._vd_masks: Optional[List[int]] = None
-        if include_l2:
-            self.l2 = [
-                _L2Bank(cfg.l2_bank_sets, cfg.l2_ways)
-                for _ in range(cfg.num_partitions)
+        if self.design.uses_victim_bits:
+            if victim_share_factor < 1 or (
+                cfg.num_cores % victim_share_factor
+            ):
+                raise ValueError(
+                    f"share_factor {victim_share_factor} must divide "
+                    f"the L1 count {cfg.num_cores}"
+                )
+            self._vd_masks = [
+                1 << (i // victim_share_factor)
+                for i in range(cfg.num_cores)
             ]
-            if self.design.uses_victim_bits:
-                if victim_share_factor < 1 or (
-                    cfg.num_cores % victim_share_factor
-                ):
-                    raise ValueError(
-                        f"share_factor {victim_share_factor} must divide "
-                        f"the L1 count {cfg.num_cores}"
-                    )
-                self._vd_masks = [
-                    1 << (i // victim_share_factor)
-                    for i in range(cfg.num_cores)
-                ]
         self.addr_map = AddressMap(cfg.num_partitions, cfg.mc_interleave_lines)
         self.phase_seconds = {"burst": 0.0, "probe": 0.0, "scalar_event": 0.0}
         self._prof = self.phase_seconds if profile else None
@@ -247,7 +258,7 @@ class FunctionalEngine:
         self.instructions = 0
         self.transactions = 0
         self.kernels: List[str] = []
-        # Per-run scratch.
+        # Per-run scratch of the miss-heap route.
         self._arrays = None
         self._pos: List[int] = []
 
@@ -278,99 +289,29 @@ class FunctionalEngine:
                 streams,
                 self.config,
                 addr_map=self.addr_map,
-                include_l2=self.include_l2,
                 now_offset=self.transactions,
             )
-        self._arrays = arrays
-        self._pos = [0] * len(arrays)
-        prof = self._prof
-        if self._batchable and self.include_l2:
-            if self._vd_masks is None and not self._tick_interval:
-                # No cross-core feedback into L1: replay each core to
-                # completion, then burst the whole L2 event stream.
-                self._run_decoupled(arrays)
-            else:
-                # Hint-coupled (G-Cache): load misses through a heap,
-                # stores folded into the walks and flushed per set.
-                for A in arrays:
-                    A.ensure_probe()
-                    A.ensure_scalar_l1()
-                    A.ensure_times()
-                    A.ensure_scalar_l2()
-                if prof is None:
-                    self._drain_missheap(arrays)
-                else:
-                    t0 = perf_counter()
-                    p0 = prof["probe"]
-                    self._drain_missheap(arrays)
-                    prof["scalar_event"] += (
-                        perf_counter() - t0 - (prof["probe"] - p0)
-                    )
+        if self._feedback:
+            self._run_missheap(arrays)
         else:
-            for A in arrays:
-                A.ensure_scalar_l1()
-                A.ensure_times()
-                if self._batchable:
-                    A.ensure_probe()
-                if self.include_l2:
-                    A.ensure_scalar_l2()
-            if prof is None:
-                self._drain(arrays)
-            else:
-                t0 = perf_counter()
-                p0 = prof["probe"]
-                self._drain(arrays)
-                prof["scalar_event"] += (
-                    perf_counter() - t0 - (prof["probe"] - p0)
-                )
+            self._run_decoupled(arrays)
         self.transactions += sum(a.n for a in arrays)
         self.instructions += trace.instruction_count()
         self.kernels.append(trace.name)
-        self._arrays = None
-
-    def _drain(self, arrays) -> None:
-        """Generic event loop (scalar designs, or L2 disabled)."""
-        heap: List = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        advance = self._advance
-        process = self._process_event
-        pos_l = self._pos
-        batchable = self._batchable
-        for c in range(len(arrays)):
-            t = advance(c)
-            if t is not None:
-                push(heap, (t, c))
-        while heap:
-            now, c = pop(heap)
-            process(c, now)
-            # Fast re-arm: when the core's next access is itself an event
-            # (store, or any access on a scalar design), skip the full
-            # _advance call and push its precomputed time directly.
-            A = arrays[c]
-            pos = pos_l[c]
-            if pos < A.n:
-                if batchable and not A.write_l[pos]:
-                    t = advance(c)
-                    if t is not None:
-                        push(heap, (t, c))
-                else:
-                    push(heap, (A.now_l[pos], c))
 
     # ------------------------------------------------------------------
-    # Fully decoupled path (bs, bs-s, dbp): per-core L1 walks, then one
-    # batched per-set L2 burst.
+    # No-feedback route: per-core L1 replay, then one batched per-set L2
+    # burst.
     # ------------------------------------------------------------------
     def _run_decoupled(self, arrays) -> None:
         """Replay without any global ordering structure.
 
         Valid when the design raises no victim-bit hints and has no
         periodic tick: L1 evolution is then a pure function of the
-        core-private stream (each core's policy is its own and, being
-        batchable, never reads ``now``), and the L2 event stream is
+        core-private stream (each core's policy is its own and sees the
+        precomputed ``now`` of every access), and the L2 event stream is
         order-observable only within each (bank, set) — exactly what the
-        burst kernel preserves.  ``fill_time`` is not maintained on this
-        path (batchable policies do not read it).
+        burst kernel preserves.
         """
         if self._null_mgmt:
             self._run_decoupled_burst(arrays)
@@ -388,6 +329,7 @@ class FunctionalEngine:
             A = arrays[c]
             A.ensure_probe()
             A.ensure_scalar_l1()
+            A.ensure_times()
             ev: List[int] = []
             self._walk_core(c, A, ev)
             if ev:
@@ -513,10 +455,12 @@ class FunctionalEngine:
     def _walk_core(self, c: int, A, ev: List[int]) -> None:
         """Sequential start-to-finish replay of one core's L1.
 
-        Hits and stores are applied inline (escalating to NumPy probes
-        on long runs); load misses fill immediately with ``hint=False``.
-        Every L2 event's stream position (all stores + all load misses)
-        is appended to ``ev``, unordered — the burst kernel re-sorts per
+        Every access reaches the policy's hooks in the oracle's order
+        with its precomputed ``now``; load misses fill immediately with
+        ``hint=False``.  Batchable policies escalate long runs of hits
+        and stores to NumPy probes (their hit hooks are no-ops).  Every
+        L2 event's stream position (all stores + all load misses) is
+        appended to ``ev``, unordered — the burst kernel re-sorts per
         (bank, set) by precomputed time.
         """
         l1 = self.l1[c]
@@ -526,13 +470,17 @@ class FunctionalEngine:
         use = l1.use_count
         stamp = l1.stamp
         rrpv = l1.rrpv
+        fill_time = l1.fill_time
         vc_l = l1.valid_count
         line_l = A.line_l
         write_l = A.write_l
         set1_l = A.set1_l
+        now_l = A.now_l
         n = A.n
         lru = self._lru
         rst = self._repl_st[c]
+        has_hit = self._has_hit
+        has_miss = self._has_miss
         has_fill = self._has_fill
         has_bypass = self._has_bypass
         has_choose = self._has_choose
@@ -541,6 +489,8 @@ class FunctionalEngine:
         insertion_rrpv = self.repl.insertion_rrpv
         select_victim = self.repl.select_victim
         policy = self.mgmt[c]
+        on_hit = policy.on_hit
+        on_miss = policy.on_miss
         fill_decision = policy.fill_decision
         on_bypass = policy.on_bypass
         choose_victim = policy.choose_victim
@@ -549,6 +499,8 @@ class FunctionalEngine:
         reuse = self.l1_reuse
         append = ev.append
         probe_fold = self._probe_fold
+        # A streak never exceeds n, so non-batchable policies never probe.
+        probe_at = _PROBE_THRESHOLD if self._batchable else n + 1
         loads = stores = load_hits = store_hits = 0
         fills = bypasses = evictions = 0
         pos = 0
@@ -567,6 +519,8 @@ class FunctionalEngine:
                     stamp[idx] = t
                 else:
                     rrpv[idx] = 0
+                if has_hit:
+                    on_hit(set_index, idx, now_l[pos])
                 if write_l[pos]:
                     stores += 1
                     store_hits += 1
@@ -576,7 +530,7 @@ class FunctionalEngine:
                     load_hits += 1
                 pos += 1
                 streak += 1
-                if streak >= _PROBE_THRESHOLD:
+                if streak >= probe_at:
                     pos, dl, dlh, ds, dsh = probe_fold(c, A, l1, pos, n, ev)
                     loads += dl
                     load_hits += dlh
@@ -584,6 +538,8 @@ class FunctionalEngine:
                     store_hits += dsh
                     streak = 0
                 continue
+            if has_miss:
+                on_miss(set_index, now_l[pos])
             if write_l[pos]:
                 # Write-through no-allocate: store misses skip L1 state.
                 stores += 1
@@ -591,22 +547,22 @@ class FunctionalEngine:
                 pos += 1
                 streak += 1
                 continue
-            # Load miss: fill inline.  Hints never fire on this path and
-            # no batchable policy reads `now` (see docstring), so pass 0.
+            # Load miss: fill inline (hints never fire on this route).
+            now = now_l[pos]
             loads += 1
             append(pos)
             streak = 0
-            if has_fill and fill_decision(set_index, line, False, 0):
+            if has_fill and fill_decision(set_index, line, False, now):
                 bypasses += 1
                 if has_bypass:
-                    on_bypass(set_index, 0)
+                    on_bypass(set_index, now)
             else:
                 vcv = vc_l[set_index]
                 if vcv < ways:
                     way = vcv
                     vc_l[set_index] = vcv + 1
                 else:
-                    way = choose_victim(set_index, 0) if has_choose else None
+                    way = choose_victim(set_index, now) if has_choose else None
                     if way is None:
                         if lru:
                             sseg = stamp[base : base + ways]
@@ -617,11 +573,12 @@ class FunctionalEngine:
                     evictions += 1
                     reuse[use[idx]] += 1
                     if has_evict:
-                        on_evict(idx, 0)
+                        on_evict(idx, now)
                 idx = base + way
                 tag[idx] = line
                 tag_np[idx] = line
                 use[idx] = 0
+                fill_time[idx] = now
                 fills += 1
                 if lru:
                     t = rst[0] + 1
@@ -630,7 +587,7 @@ class FunctionalEngine:
                 else:
                     rrpv[idx] = insertion_rrpv
                 if has_insert:
-                    on_insert(idx, False, 0)
+                    on_insert(idx, False, now)
             pos += 1
         self.l1_loads += loads
         self.l1_stores += stores
@@ -711,8 +668,27 @@ class FunctionalEngine:
         return pos, loads, load_hits, stores, store_hits
 
     # ------------------------------------------------------------------
-    # Hint-coupled path (gc, gc-m): miss-only heap + deferred stores.
+    # Feedback route (gc, gc-m): miss-only heap + deferred stores.
     # ------------------------------------------------------------------
+    def _run_missheap(self, arrays) -> None:
+        for A in arrays:
+            A.ensure_probe()
+            A.ensure_scalar_l1()
+            A.ensure_times()
+            A.ensure_scalar_l2()
+        self._arrays = arrays
+        self._pos = [0] * len(arrays)
+        prof = self._prof
+        if prof is not None:
+            t0 = perf_counter()
+            p0 = prof["probe"]
+        self._drain_missheap(arrays)
+        if prof is not None:
+            prof["scalar_event"] += (
+                perf_counter() - t0 - (prof["probe"] - p0)
+            )
+        self._arrays = None
+
     def _drain_missheap(self, arrays) -> None:
         """Event loop whose heap carries **load misses only**.
 
@@ -898,7 +874,8 @@ class FunctionalEngine:
                 tag_np[idx] = line
                 use[idx] = 0
                 # fill_time is not maintained here: only non-batchable
-                # policies read it, and they never route through the heap.
+                # policies read it, and the constructor keeps them off
+                # this route.
                 l1_fills += 1
                 if lru:
                     rst[0] += 1
@@ -1170,278 +1147,6 @@ class FunctionalEngine:
         self.l2_writebacks += writebacks
 
     # ------------------------------------------------------------------
-    # Fast-forward: apply runs of L1 load hits, return next event time
-    # ------------------------------------------------------------------
-    def _advance(self, c: int) -> Optional[int]:
-        A = self._arrays[c]
-        pos = self._pos[c]
-        if pos >= A.n:
-            return None
-        now_l = A.now_l
-        if not self._batchable:
-            # Every access is an event for scalar designs (PDP family).
-            return now_l[pos]
-        write_l = A.write_l
-        if write_l[pos]:
-            return now_l[pos]
-        l1 = self.l1[c]
-        tag = l1.tag
-        ways = l1.ways
-        line_l = A.line_l
-        set1_l = A.set1_l
-        line = line_l[pos]
-        base = set1_l[pos] * ways
-        seg = tag[base : base + ways]
-        if line not in seg:
-            return now_l[pos]
-        # At least one load hit: bind the rest of the state and walk.
-        n = A.n
-        use = l1.use_count
-        st = self._repl_st[c]
-        lru = self._lru
-        stamp = l1.stamp
-        rrpv = l1.rrpv
-        hits = 0
-        while True:
-            idx = base + seg.index(line)
-            use[idx] += 1
-            if lru:
-                st[0] += 1
-                stamp[idx] = st[0]
-            else:
-                rrpv[idx] = 0
-            pos += 1
-            hits += 1
-            if hits >= _PROBE_THRESHOLD:
-                pos, probed = self._probe_forward(c, l1, pos, n)
-                hits += probed
-                break
-            if pos >= n or write_l[pos]:
-                break
-            line = line_l[pos]
-            base = set1_l[pos] * ways
-            seg = tag[base : base + ways]
-            if line not in seg:
-                break
-        self.l1_loads += hits
-        self.l1_load_hits += hits
-        if self._tick_interval:
-            self._tick_run(c, hits, now_l[pos - 1])
-        self._pos[c] = pos
-        if pos >= n:
-            return None
-        return now_l[pos]
-
-    def _probe_forward(
-        self, c: int, l1: _L1State, pos: int, n: int
-    ) -> Tuple[int, int]:
-        """Chunked NumPy classification of a long load-hit run.
-
-        Returns ``(new_pos, hits_applied)``; stops at the first store or
-        load miss (the next event) or the end of the stream.
-        """
-        prof = self._prof
-        if prof is not None:
-            t0 = perf_counter()
-        A = self._arrays[c]
-        tag2d = l1.tag2d
-        line = A.line
-        set1 = A.set1
-        write = A.write
-        use = l1.use_count
-        ways = l1.ways
-        st = self._repl_st[c]
-        chunk = self._chunk[c]
-        total = 0
-        while True:
-            end = pos + chunk
-            if end > n:
-                end = n
-            sets = set1[pos:end]
-            eq = tag2d[sets] == line[pos:end, None]
-            stop = write[pos:end] | ~eq.any(axis=1)
-            nz = np.flatnonzero(stop)
-            k = int(nz[0]) if nz.size else end - pos
-            if k:
-                slots = (sets[:k] * ways + eq[:k].argmax(axis=1)).tolist()
-                for idx in slots:
-                    use[idx] += 1
-                self.repl.on_hit_run(st, l1, slots)
-                total += k
-                pos += k
-            if nz.size:
-                # Adapt the probe width to the observed run length.
-                self._chunk[c] = min(_MAX_CHUNK, max(_MIN_CHUNK, 2 * k))
-                break
-            if pos >= n:
-                break
-            chunk = min(_MAX_CHUNK, chunk * 2)
-            self._chunk[c] = chunk
-        if prof is not None:
-            prof["probe"] += perf_counter() - t0
-        return pos, total
-
-    # ------------------------------------------------------------------
-    # Events: stores and load misses, in global `now` order
-    # ------------------------------------------------------------------
-    def _process_event(self, c: int, now: int) -> None:
-        # The oracle's lookup/fill sequence, inlined: the per-access
-        # method dispatch the oracle pays is most of what this backend
-        # saves on miss-heavy streams.
-        A = self._arrays[c]
-        p = self._pos[c]
-        self._pos[c] = p + 1
-        line = A.line_l[p]
-        set_index = A.set1_l[p]
-        l1 = self.l1[c]
-        ways = l1.ways
-        base = set_index * ways
-        seg = l1.tag[base : base + ways]
-        if self._tick_interval:
-            left = self._tick_left[c] - 1
-            if left:
-                self._tick_left[c] = left
-            else:
-                self._tick_left[c] = self._tick_interval
-                self.mgmt[c].on_tick(now)
-        is_write = A.write_l[p]
-        if is_write:
-            self.l1_stores += 1
-        else:
-            self.l1_loads += 1
-        if line in seg:
-            hit = True
-            idx = base + seg.index(line)
-            l1.use_count[idx] += 1
-            if is_write:
-                self.l1_store_hits += 1
-            else:
-                self.l1_load_hits += 1
-            if self._lru:
-                st = self._repl_st[c]
-                st[0] += 1
-                l1.stamp[idx] = st[0]
-            else:
-                l1.rrpv[idx] = 0
-            if self._has_hit:
-                self.mgmt[c].on_hit(set_index, idx, now)
-        else:
-            hit = False
-            if self._has_miss:
-                self.mgmt[c].on_miss(set_index, now)
-        if is_write:
-            if self.include_l2:
-                self._l2_access(
-                    c, A.part_l[p], A.local_l[p], A.set2_l[p], now, True
-                )
-        elif not hit:
-            hint = False
-            if self.include_l2:
-                hint = self._l2_access(
-                    c, A.part_l[p], A.local_l[p], A.set2_l[p], now, False
-                )
-            self._l1_fill(c, line, set_index, now, hint)
-
-    def _l1_fill(
-        self, c: int, line: int, set_index: int, now: int, hint: bool
-    ) -> None:
-        l1 = self.l1[c]
-        policy = self.mgmt[c]
-        if self._has_fill and policy.fill_decision(set_index, line, hint, now):
-            self.l1_bypasses += 1
-            if self._has_bypass:
-                policy.on_bypass(set_index, now)
-            return
-        ways = l1.ways
-        base = set_index * ways
-        vc = l1.valid_count[set_index]
-        if vc < ways:
-            # Fills always take the first invalid way and nothing ever
-            # invalidates, so the valid ways form a prefix.
-            way = vc
-            l1.valid_count[set_index] = vc + 1
-        else:
-            way = (
-                policy.choose_victim(set_index, now)
-                if self._has_choose
-                else None
-            )
-            if way is None:
-                way = self.repl.select_victim(
-                    self._repl_st[c], l1, base, base + ways
-                )
-            idx = base + way
-            self.l1_evictions += 1
-            self.l1_reuse[l1.use_count[idx]] += 1
-            if self._has_evict:
-                policy.on_evict(idx, now)
-        idx = base + way
-        l1.tag[idx] = line
-        l1.tag_np[idx] = line
-        l1.use_count[idx] = 0
-        l1.fill_time[idx] = now
-        self.l1_fills += 1
-        if self._lru:
-            rst = self._repl_st[c]
-            rst[0] += 1
-            l1.stamp[idx] = rst[0]
-        else:
-            l1.rrpv[idx] = self.repl.insertion_rrpv
-        if self._has_insert:
-            policy.on_insert(idx, hint, now)
-
-    def _l2_access(
-        self, core: int, part: int, local: int, set_index: int, now: int,
-        is_write: bool,
-    ) -> bool:
-        bank = self.l2[part]
-        ways = bank.ways
-        base = set_index * ways
-        if is_write:
-            self.l2_stores += 1
-        else:
-            self.l2_loads += 1
-        seg = bank.tag[base : base + ways]
-        if local in seg:
-            idx = base + seg.index(local)
-            bank.use[idx] += 1
-            if is_write:
-                self.l2_store_hits += 1
-                bank.dirty[idx] = 1
-            else:
-                self.l2_load_hits += 1
-            bank.tick += 1
-            bank.stamp[idx] = bank.tick
-        else:
-            vc = bank.valid_count[set_index]
-            if vc < ways:
-                idx = base + vc
-                bank.valid_count[set_index] = vc + 1
-            else:
-                seg = bank.stamp[base : base + ways]
-                idx = base + seg.index(min(seg))
-                self.l2_evictions += 1
-                if bank.dirty[idx]:
-                    self.l2_writebacks += 1
-                self.l2_reuse[bank.use[idx]] += 1
-            bank.tag[idx] = local
-            bank.dirty[idx] = 1 if is_write else 0
-            bank.use[idx] = 0
-            bank.vb[idx] = 0
-            self.l2_fills += 1
-            bank.tick += 1
-            bank.stamp[idx] = bank.tick
-        if self._vd_masks is not None and not is_write:
-            mask = self._vd_masks[core]
-            prev = bank.vb[idx]
-            bank.vb[idx] = prev | mask
-            self.hints_returned += 1
-            if prev & mask:
-                self.contentions_detected += 1
-                return True
-        return False
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def result(self, benchmark: Optional[str] = None) -> ReplayResult:
@@ -1451,19 +1156,17 @@ class FunctionalEngine:
         copy only — the engine remains usable for further kernels.
         """
         l1_reuse = Counter(self.l1_reuse)
-        if self.l1:
-            use = np.array([l1.use_count for l1 in self.l1], dtype=np.int64)
-            tag = np.array([l1.tag for l1 in self.l1], dtype=np.int64)
-            vals, cnts = np.unique(use[tag != -1], return_counts=True)
-            for v, cnt in zip(vals.tolist(), cnts.tolist()):
-                l1_reuse[v] += cnt
+        use = np.array([l1.use_count for l1 in self.l1], dtype=np.int64)
+        tag = np.array([l1.tag for l1 in self.l1], dtype=np.int64)
+        vals, cnts = np.unique(use[tag != -1], return_counts=True)
+        for v, cnt in zip(vals.tolist(), cnts.tolist()):
+            l1_reuse[v] += cnt
         l2_reuse = Counter(self.l2_reuse)
-        if self.l2:
-            use = np.array([b.use for b in self.l2], dtype=np.int64)
-            tag = np.array([b.tag for b in self.l2], dtype=np.int64)
-            vals, cnts = np.unique(use[tag != -1], return_counts=True)
-            for v, cnt in zip(vals.tolist(), cnts.tolist()):
-                l2_reuse[v] += cnt
+        use = np.array([b.use for b in self.l2], dtype=np.int64)
+        tag = np.array([b.tag for b in self.l2], dtype=np.int64)
+        vals, cnts = np.unique(use[tag != -1], return_counts=True)
+        for v, cnt in zip(vals.tolist(), cnts.tolist()):
+            l2_reuse[v] += cnt
         l1_stats = CacheStats(
             loads=self.l1_loads,
             stores=self.l1_stores,
@@ -1506,12 +1209,10 @@ def functional_replay(
     design: Optional[DesignSpec] = None,
     streams=None,
     arrays=None,
-    include_l2: bool = True,
     scheduler: str = "lrr",
 ) -> ReplayResult:
-    """One-shot functional replay; mirrors :func:`repro.sim.replay.replay`."""
-    engine = FunctionalEngine(
-        config, design, include_l2=include_l2, scheduler=scheduler
-    )
+    """One-shot functional replay; mirrors :func:`repro.sim.replay.replay`
+    (which alone also offers an L1-only mode)."""
+    engine = FunctionalEngine(config, design, scheduler=scheduler)
     engine.run(trace, streams=streams, arrays=arrays)
     return engine.result(benchmark=trace.name)

@@ -14,9 +14,9 @@ can be applied eagerly while shared-L2 events are ordered by their
 precomputed times.
 
 Columns are built **lazily**: the engine's per-design replay paths touch
-very different subsets (the scalar PDP event loop wants plain Python
-lists and never a NumPy array; the fully decoupled burst path wants
-NumPy columns and never most of the lists), so only ``line_l``/
+very different subsets (the scalar walks and the miss heap want plain
+Python lists; the null-management burst path wants NumPy columns and
+never most of the lists), so only ``line_l``/
 ``write_l`` (the tuple split every other column derives from) and the
 closed-form ``now`` column are materialized up front.  Everything else
 is built on first request by an ``ensure_*`` method and cached, so a
@@ -80,7 +80,7 @@ class CoreArrays:
         now: np.ndarray,
         l1_mask: int,
         l2_mask: int,
-        addr_map: Optional[AddressMap],
+        addr_map: AddressMap,
     ) -> None:
         self.n = len(line_l)
         self.line_l = line_l
@@ -132,8 +132,6 @@ class CoreArrays:
     def ensure_l2(self) -> None:
         """NumPy ``part``/``local``/``set2`` (L2 routing)."""
         if self.part is None:
-            if self._addr_map is None:
-                raise ValueError("stream was built with include_l2=False")
             line = self._line_np()
             self.part = self._addr_map.partition_array(line)
             self.local = self._addr_map.local_array(line)
@@ -152,7 +150,6 @@ def build_core_arrays(
     streams: List[List[Transaction]],
     config: GPUConfig,
     addr_map: Optional[AddressMap] = None,
-    include_l2: bool = True,
     now_offset: int = 0,
 ) -> List[CoreArrays]:
     """Vectorize per-core streams and precompute global access times.
@@ -174,10 +171,8 @@ def build_core_arrays(
 
     l1_mask = config.l1_sets - 1
     l2_mask = config.l2_bank_sets - 1
-    if include_l2 and addr_map is None:
+    if addr_map is None:
         addr_map = AddressMap(config.num_partitions, config.mc_interleave_lines)
-    if not include_l2:
-        addr_map = None
     out: List[CoreArrays] = []
     for stream in streams:
         n = len(stream)

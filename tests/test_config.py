@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.config import GPUConfig
+from repro.gpu.schedulers import make_scheduler
+from repro.sim.config import WARP_SCHEDULERS, GPUConfig
 
 
 class TestDefaults:
@@ -72,3 +73,24 @@ class TestValidation:
     def test_warp_slots(self):
         with pytest.raises(ValueError):
             GPUConfig(max_warps_per_core=0)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [dict(l1_size=48 * 1024),  # 96 sets: a real Fermi L1 size
+         dict(l2_bank_size=96 * 1024)],
+    )
+    def test_set_counts_power_of_two(self, geometry):
+        with pytest.raises(ValueError, match="power of two"):
+            GPUConfig(**geometry)
+
+    def test_unknown_warp_scheduler(self):
+        with pytest.raises(ValueError, match="unknown warp scheduler"):
+            GPUConfig(warp_scheduler="bogus")
+        with pytest.raises(ValueError, match="unknown warp scheduler"):
+            GPUConfig().with_scheduler("ccws")
+
+    @pytest.mark.parametrize("name", WARP_SCHEDULERS)
+    def test_every_known_scheduler_builds(self, name):
+        """The config accepts exactly the names make_scheduler builds."""
+        cfg = GPUConfig(warp_scheduler=name)
+        assert make_scheduler(cfg.warp_scheduler).name == name

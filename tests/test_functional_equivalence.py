@@ -33,7 +33,11 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.core.gcache import GCacheConfig
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DESIGN_KEYS, DesignSpec, make_design
-from repro.sim.functional import FunctionalEngine, functional_replay
+from repro.sim.functional import (
+    FunctionalEngine,
+    FunctionalUnsupportedError,
+    functional_replay,
+)
 from repro.sim.replay import SCHEDULERS, replay
 from repro.trace.suite import build_benchmark
 from repro.trace.trace import CTATrace, KernelTrace, OP_ALU, OP_LOAD, OP_STORE
@@ -80,14 +84,10 @@ ALL_DESIGNS = tuple(DESIGN_KEYS) + (
 FAMILY_DESIGNS = ("bs", "bs-s", "pdp-3", "spdp-b", "gc", "dbp")
 
 
-def assert_equivalent(trace, config, design, scheduler="lrr", include_l2=True):
+def assert_equivalent(trace, config, design, scheduler="lrr"):
     """Replay both backends and assert every observable counter matches."""
-    oracle = replay(
-        trace, config, design, scheduler=scheduler, include_l2=include_l2
-    )
-    fast = functional_replay(
-        trace, config, design, scheduler=scheduler, include_l2=include_l2
-    )
+    oracle = replay(trace, config, design, scheduler=scheduler)
+    fast = functional_replay(trace, config, design, scheduler=scheduler)
     assert fast.l1.snapshot() == oracle.l1.snapshot()
     assert fast.l2.snapshot() == oracle.l2.snapshot()
     assert fast.l1.reuse.as_dict() == oracle.l1.reuse.as_dict()
@@ -150,6 +150,42 @@ def test_engine_drives_the_designs_own_policies(key, config):
 
 
 # ---------------------------------------------------------------------------
+# Routing: only L2 feedback into L1 (victim bits or a periodic tick) takes
+# the load-miss heap; every other design replays per core, then bursts L2.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ("pdp-8", "spdp-b"))
+def test_hint_free_managed_designs_burst_l2(key, spmv_trace, config):
+    engine = FunctionalEngine(config, _design(key), profile=True)
+    engine.run(spmv_trace)
+    assert engine.phase_seconds["burst"] > 0
+
+
+class _TickingPDP(DynamicPDPPolicy):
+    tick_interval = 64
+
+
+@pytest.mark.parametrize(
+    "make_mgmt, victim_bits",
+    [(DynamicPDPPolicy, True), (_TickingPDP, False)],
+    ids=["victim-bits", "tick"],
+)
+def test_feedback_requires_a_batchable_policy(make_mgmt, victim_bits, config):
+    """The miss heap walks hits without calling hooks, so a policy that
+    acts on every access cannot take it; the engine refuses up front."""
+    design = DesignSpec(
+        key="pdp-feedback",
+        label="Dynamic PDP with L2 feedback",
+        make_l1_replacement=LRUPolicy,
+        make_l1_mgmt=make_mgmt,
+        uses_victim_bits=victim_bits,
+    )
+    with pytest.raises(FunctionalUnsupportedError, match="batchable"):
+        FunctionalEngine(config, design)
+
+
+# ---------------------------------------------------------------------------
 # Warp schedulers (the interleave changes every stream, so scheduler bugs
 # show up as counter drift even when per-access semantics are right).
 # ---------------------------------------------------------------------------
@@ -182,12 +218,6 @@ GEOMETRIES = {
 def test_geometry_matches_oracle(name, key, spmv_trace, config):
     cfg = replace(config, **GEOMETRIES[name])
     assert_equivalent(spmv_trace, cfg, _design(key))
-
-
-@pytest.mark.parametrize("key", ("bs", "gc", "pdp-3"))
-def test_l1_only_matches_oracle(key, spmv_trace, config):
-    """include_l2=False drops hints and the L2 model entirely."""
-    assert_equivalent(spmv_trace, config, _design(key), include_l2=False)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +430,11 @@ def burst_adversarial_kernels(draw):
     return KernelTrace(name="BURST-ADV", ctas=ctas)
 
 
-#: The designs that route through each burst path: full L1+L2 bursts
-#: (bs, bs-s), scalar walk + L2 burst (dbp), and the load-miss heap with
+#: The designs that exercise each replay route: full L1+L2 bursts
+#: (bs, bs-s), scalar walk + L2 burst with probes (dbp) and with every
+#: hook called per access (pdp-3, spdp-b), and the load-miss heap with
 #: deferred store flushes (gc, gc-m).
-BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "gc", "gc-m")
+BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m")
 
 
 @pytest.mark.parametrize("key", BURST_PATH_DESIGNS)

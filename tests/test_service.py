@@ -255,6 +255,17 @@ class TestJobSpec:
         with pytest.raises(SpecError, match="JSON object"):
             JobSpec.from_payload(["not", "a", "dict"])
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("l1_size", 48 * 1024, "power of two"),
+         ("scheduler", "bogus", "unknown warp scheduler")],
+    )
+    def test_rejects_bad_configuration_at_submit(self, field, value, match):
+        """A config the simulator would refuse fails at submit time, as a
+        typed spec error, instead of inside the job's worker thread."""
+        with pytest.raises(SpecError, match=match):
+            JobSpec.from_payload({"designs": ["bs"], field: value})
+
     def test_payload_round_trip(self):
         spec = small_spec(seed=7, retries=1)
         again = JobSpec.from_payload(spec.to_payload())
