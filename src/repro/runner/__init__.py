@@ -31,9 +31,12 @@ Quickstart::
     results = engine.run(tasks)          # list of RunResult
     print(engine.counters.render())      # hit/miss + timing summary
 
-Results are bit-identical to serial runs by construction (each task is
-executed from a self-contained description in a fresh policy/trace
-state); ``tests/test_runner_determinism.py`` locks this in.
+Results are bit-identical to serial runs by construction: each task is
+executed from a self-contained description with fresh policy and
+engine state, and the only inputs tasks share — one trace group's trace
+and functional stream arrays — are design-independent and never written
+after they are built; ``tests/test_runner_determinism.py`` and
+``tests/test_runner_groups.py`` lock this in.
 """
 
 from repro.runner.cache import (
