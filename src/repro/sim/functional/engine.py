@@ -59,12 +59,18 @@ from repro.sim.functional.replacement import (
     FunctionalUnsupportedError,
     replacement_model,
 )
-from repro.sim.functional.streams import build_core_arrays
-from repro.sim.replay import ReplayResult, build_core_streams
+from repro.sim.functional.streams import CoreArrays, build_core_arrays
+from repro.sim.replay import SCHEDULERS, ReplayResult, build_core_streams
 from repro.stats.counters import CacheStats
 from repro.trace.trace import KernelTrace
 
-__all__ = ["FunctionalEngine", "FunctionalUnsupportedError", "functional_replay"]
+__all__ = [
+    "FunctionalEngine",
+    "FunctionalUnsupportedError",
+    "build_run_arrays",
+    "functional_replay",
+    "stream_scheduler",
+]
 
 #: Consecutive non-miss accesses walked scalar before escalating to
 #: NumPy probes.
@@ -281,13 +287,11 @@ class FunctionalEngine:
                     "times; they cannot continue a warm engine"
                 )
         else:
-            if streams is None:
-                streams = build_core_streams(
-                    trace, self.config, self.scheduler
-                )
-            arrays = build_core_arrays(
-                streams,
+            arrays = build_run_arrays(
+                trace,
                 self.config,
+                self.scheduler,
+                streams=streams,
                 addr_map=self.addr_map,
                 now_offset=self.transactions,
             )
@@ -1201,6 +1205,38 @@ class FunctionalEngine:
             l2=l2_stats,
             extras=extras,
         )
+
+
+def stream_scheduler(config: GPUConfig) -> str:
+    """The stream interleave a functional run under ``config`` replays:
+    the config's warp scheduler where the stream builder models it, else
+    ``"lrr"``."""
+    return config.warp_scheduler if config.warp_scheduler in SCHEDULERS else "lrr"
+
+
+def build_run_arrays(
+    trace: KernelTrace,
+    config: GPUConfig,
+    scheduler: str,
+    streams=None,
+    addr_map: Optional[AddressMap] = None,
+    now_offset: int = 0,
+) -> List[CoreArrays]:
+    """The column arrays one :meth:`FunctionalEngine.run` of ``trace``
+    replays.
+
+    Coalesces the trace into per-core streams (unless ``streams`` are
+    given) and lays them out with global transaction times starting at
+    ``now_offset``.  Nothing here depends on the design, so a caller
+    replaying one trace through many designs on cold engines builds the
+    arrays once (``now_offset=0``) and passes them as ``run(...,
+    arrays=...)``; the replays only read them.
+    """
+    if streams is None:
+        streams = build_core_streams(trace, config, scheduler)
+    return build_core_arrays(
+        streams, config, addr_map=addr_map, now_offset=now_offset
+    )
 
 
 def functional_replay(
