@@ -35,7 +35,7 @@ Usage::
     # the timing engine by >= 8x on the design-sweep workload
     python benchmarks/perf_suite.py --functional-gate
 
-    # ...with a per-benchmark burst/probe/scalar phase breakdown
+    # ...with a per-benchmark burst/scalar phase breakdown
     python benchmarks/perf_suite.py --functional-gate --profile-phases
 """
 
@@ -228,10 +228,11 @@ def time_functional_sweep(
 
     With ``profile_phases`` the functional engines run with wall-clock
     phase instrumentation and the record gains ``phase_seconds`` /
-    ``phase_split``: time inside the vectorized burst kernels, the bulk
-    hit probes, and the scalar event loops, summed over all measured
-    rounds (uninstrumented residue — stream/array construction, state
-    writeback — is the remainder against ``functional_seconds``).
+    ``phase_split``: time inside the vectorized burst kernels and the
+    scalar walks and event loops, summed over all measured rounds
+    (uninstrumented residue — stream/array construction, state
+    writeback — is the remainder against ``functional_seconds``).  The
+    engine's ``probe`` phase is kept in the record and always reads 0.
     """
     designs = designs or FUNCTIONAL_DESIGNS
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -294,7 +295,7 @@ def functional_gate(
     inside each — stays put.  Per-benchmark ratios print as advisory.
 
     ``profile_phases`` adds a per-benchmark breakdown of where the
-    functional side's time goes (burst kernels vs bulk probes vs scalar
+    functional side's time goes (burst kernels vs scalar walks and
     event loops); ``ledger`` appends the per-benchmark records — with
     the breakdown when profiled — to the perf/accuracy ledger.
     """
@@ -511,8 +512,8 @@ def main() -> int:
                         help="min functional/timing speedup for the gate")
     parser.add_argument("--profile-phases", action="store_true",
                         help="with --functional-gate: report the time "
-                             "split between burst kernels, bulk probes "
-                             "and scalar event loops per benchmark")
+                             "split between burst kernels and scalar "
+                             "walks/event loops per benchmark")
     parser.add_argument("--ledger", default=None, metavar="PATH",
                         help="append this run's measurements to the "
                              "perf/accuracy ledger (repro.analysis JSONL)")

@@ -74,8 +74,10 @@ class ManagementPolicy:
     # "Adding a new design's batch hooks").  Each must be true of the
     # class that declares it.
     #: L1 hits and stores leave the policy's state untouched and no hook
-    #: reads ``fill_time`` or ``now`` (beyond tracing): the engine may
-    #: then fast-forward hit runs and replay each core's L1 on its own.
+    #: reads ``fill_time`` or ``now`` (beyond tracing).  Gates one thing:
+    #: whether the functional engine's miss heap, whose walks between
+    #: load misses call no hook, may replay a design with victim-bit
+    #: hints or a tick under this policy.
     batchable = False
     #: ``fill_decision(hint=False)`` returns False with no side effects
     #: whenever ``switches.bits[set_index]`` is 0.

@@ -1,8 +1,9 @@
 """Vectorized fast-functional replay backend.
 
-Processes whole coalesced address streams with NumPy over set-indexed
-structure-of-arrays cache state (extending :class:`FlatTagStore`'s flat
-layout with a dense tag plane for bulk probes).  Counters are pinned
+Replays whole coalesced address streams over set-indexed
+structure-of-arrays cache state (:class:`FlatTagStore`'s flat layout),
+with NumPy per-set burst kernels where no policy hook needs a scalar
+walk.  Counters are pinned
 bit-identical to the scalar :func:`repro.sim.replay.replay` oracle by
 ``tests/test_functional_equivalence.py``; a calibrated linear timing
 estimator (:mod:`repro.sim.functional.estimator`) supplies cycle numbers

@@ -94,7 +94,9 @@ def l1_burst(
     C = len(l1s)
     ways = l1s[0].ways
     n_rows = C * num_sets
-    tag2d = np.concatenate([l1.tag_np for l1 in l1s]).reshape(n_rows, ways)
+    tag2d = np.array([l1.tag for l1 in l1s], dtype=np.int64).reshape(
+        n_rows, ways
+    )
     use2d = np.array([l1.use_count for l1 in l1s], dtype=np.int64).reshape(
         n_rows, ways
     )
@@ -274,8 +276,7 @@ def l1_burst(
         for v, cnt in zip(vals.tolist(), cnts.tolist()):
             reuse[v] += cnt
 
-    # Write state back per core.  `tag_np` is assigned in place so the
-    # engine's `tag2d` per-set view over the same buffer stays valid.
+    # Write state back per core.
     tagf = tag2d.reshape(C, num_sets * ways)
     usef = use2d.reshape(C, num_sets * ways)
     vcf = vc.reshape(C, num_sets)
@@ -286,7 +287,6 @@ def l1_burst(
         rrpvf = rrpv2d.reshape(C, num_sets * ways)
     for c, l1 in enumerate(l1s):
         l1.tag = tagf[c].tolist()
-        l1.tag_np[:] = tagf[c]
         l1.use_count = usef[c].tolist()
         l1.valid_count = vcf[c].tolist()
         if lru:

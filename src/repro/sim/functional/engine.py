@@ -27,8 +27,7 @@ does L2 state feed back into L1?
   ``now`` of each access.  That makes the walk exact even for policies
   that act on every access: PDP's per-set clocks, PDCs and sampler all
   live in the core's own policy object, and its victim order reads the
-  ``fill_time`` the walk stores.  Batchable policies, whose hits touch
-  no policy state, escalate long hit runs to chunked NumPy probes.
+  ``fill_time`` the walk stores.
 * **Feedback** (gc, gc-m: a hint changes the fill, which changes the
   core's future hits).  Load misses must resolve in global order, so
   they drain through a min-heap — but *only* load misses: hits and
@@ -46,7 +45,7 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,31 +71,21 @@ __all__ = [
     "stream_scheduler",
 ]
 
-#: Consecutive non-miss accesses walked scalar before escalating to
-#: NumPy probes.
-_PROBE_THRESHOLD = 32
-_MIN_CHUNK = 16
-_MAX_CHUNK = 4096
-
 
 class _L1State:
     """Structure-of-arrays L1 state (FlatTagStore's flat layout).
 
     It carries the planes management policies are written against (see
     :mod:`repro.cache.policies.base`), so each core's policy object
-    attaches to it directly.  Hot state lives in plain Python lists — scalar element access on a
-    list is several times cheaper than NumPy item extraction, and the
-    event path is scalar.  ``tag`` alone is mirrored into a dense NumPy
-    plane (``tag_np`` flat / ``tag2d`` per-set view of the same buffer)
-    for the bulk hit probes; the mirror is refreshed on fill only.
+    attaches to it directly.  All state lives in plain Python lists:
+    scalar element access on a list is several times cheaper than NumPy
+    item extraction, and the walks are scalar.
     """
 
     __slots__ = (
         "num_sets",
         "ways",
         "tag",
-        "tag_np",
-        "tag2d",
         "stamp",
         "rrpv",
         "use_count",
@@ -110,8 +99,6 @@ class _L1State:
         self.num_sets = num_sets
         self.ways = ways
         self.tag = [-1] * n
-        self.tag_np = np.full(n, -1, dtype=np.int64)
-        self.tag2d = self.tag_np.reshape(num_sets, ways)
         self.stamp = [0] * n
         self.rrpv = [0] * n
         self.use_count = [0] * n
@@ -156,10 +143,11 @@ class FunctionalEngine:
     engine can keep running afterwards).
 
     With ``profile=True`` the engine accumulates a wall-clock breakdown
-    in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L2
-    rounds), ``"probe"`` (chunked NumPy L1 probes) and
-    ``"scalar_event"`` (everything scalar: walks, heap events, store
-    flushes) — so the remaining scalar residue is measurable.
+    in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L1/L2
+    rounds) and ``"scalar_event"`` (everything scalar: walks, heap
+    events, store flushes) — so the remaining scalar residue is
+    measurable.  ``"probe"`` is always 0.0; it stays because profilers
+    read the key set by name.
     """
 
     def __init__(
@@ -187,7 +175,6 @@ class FunctionalEngine:
         for c, policy in enumerate(self.mgmt):
             policy.attach(self.l1[c], repls[c], f"L1[{c}]")
         policy = self.mgmt[0]
-        self._batchable = policy.batchable
         self._lru = self.repl.kind == "lru"
         # Which hooks the policy overrides; the replay loops skip the
         # Python call entirely for base-class no-ops.
@@ -213,7 +200,7 @@ class FunctionalEngine:
         self._feedback = self.design.uses_victim_bits or bool(
             self._tick_interval
         )
-        if self._feedback and not self._batchable:
+        if self._feedback and not policy.batchable:
             raise FunctionalUnsupportedError(
                 f"design {self.design.key!r}: a policy with victim-bit "
                 f"hints or a periodic tick must be batchable "
@@ -221,7 +208,6 @@ class FunctionalEngine:
             )
         self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
-        self._chunk = [64] * cfg.num_cores
         self.l2 = [
             _L2Bank(cfg.l2_bank_sets, cfg.l2_ways)
             for _ in range(cfg.num_partitions)
@@ -259,14 +245,10 @@ class FunctionalEngine:
         self.l2_evictions = 0
         self.l2_writebacks = 0
         self.l2_reuse: Counter = Counter()
-        self.hints_returned = 0
         self.contentions_detected = 0
         self.instructions = 0
         self.transactions = 0
         self.kernels: List[str] = []
-        # Per-run scratch of the miss-heap route.
-        self._arrays = None
-        self._pos: List[int] = []
 
     # ------------------------------------------------------------------
     # Driving
@@ -323,7 +305,6 @@ class FunctionalEngine:
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-            p0 = prof["probe"]
         ev_now: List[np.ndarray] = []
         ev_part: List[np.ndarray] = []
         ev_local: List[np.ndarray] = []
@@ -331,12 +312,12 @@ class FunctionalEngine:
         ev_write: List[np.ndarray] = []
         for c in range(len(arrays)):
             A = arrays[c]
-            A.ensure_probe()
             A.ensure_scalar_l1()
             A.ensure_times()
             ev: List[int] = []
             self._walk_core(c, A, ev)
             if ev:
+                A.ensure_l1()
                 A.ensure_l2()
                 ep = np.array(ev, dtype=np.int64)
                 ev_now.append(A.now[ep])
@@ -345,9 +326,7 @@ class FunctionalEngine:
                 ev_set2.append(A.set2[ep])
                 ev_write.append(A.write[ep])
         if prof is not None:
-            prof["scalar_event"] += (
-                perf_counter() - t0 - (prof["probe"] - p0)
-            )
+            prof["scalar_event"] += perf_counter() - t0
         if not ev_now:
             return
         if prof is not None:
@@ -393,7 +372,7 @@ class FunctionalEngine:
             t0 = perf_counter()
         S1 = self.config.l1_sets
         for A in arrays:
-            A.ensure_probe()
+            A.ensure_l1()
         group = np.concatenate(
             [A.set1 + c * S1 for c, A in enumerate(arrays)]
         )
@@ -461,16 +440,13 @@ class FunctionalEngine:
 
         Every access reaches the policy's hooks in the oracle's order
         with its precomputed ``now``; load misses fill immediately with
-        ``hint=False``.  Batchable policies escalate long runs of hits
-        and stores to NumPy probes (their hit hooks are no-ops).  Every
-        L2 event's stream position (all stores + all load misses) is
-        appended to ``ev``, unordered — the burst kernel re-sorts per
-        (bank, set) by precomputed time.
+        ``hint=False``.  Every L2 event's stream position (all stores +
+        all load misses) is appended to ``ev``, unordered — the burst
+        kernel re-sorts per (bank, set) by precomputed time.
         """
         l1 = self.l1[c]
         ways = l1.ways
         tag = l1.tag
-        tag_np = l1.tag_np
         use = l1.use_count
         stamp = l1.stamp
         rrpv = l1.rrpv
@@ -502,13 +478,9 @@ class FunctionalEngine:
         on_insert = policy.on_insert
         reuse = self.l1_reuse
         append = ev.append
-        probe_fold = self._probe_fold
-        # A streak never exceeds n, so non-batchable policies never probe.
-        probe_at = _PROBE_THRESHOLD if self._batchable else n + 1
         loads = stores = load_hits = store_hits = 0
         fills = bypasses = evictions = 0
         pos = 0
-        streak = 0
         while pos < n:
             line = line_l[pos]
             set_index = set1_l[pos]
@@ -533,14 +505,6 @@ class FunctionalEngine:
                     loads += 1
                     load_hits += 1
                 pos += 1
-                streak += 1
-                if streak >= probe_at:
-                    pos, dl, dlh, ds, dsh = probe_fold(c, A, l1, pos, n, ev)
-                    loads += dl
-                    load_hits += dlh
-                    stores += ds
-                    store_hits += dsh
-                    streak = 0
                 continue
             if has_miss:
                 on_miss(set_index, now_l[pos])
@@ -549,13 +513,11 @@ class FunctionalEngine:
                 stores += 1
                 append(pos)
                 pos += 1
-                streak += 1
                 continue
             # Load miss: fill inline (hints never fire on this route).
             now = now_l[pos]
             loads += 1
             append(pos)
-            streak = 0
             if has_fill and fill_decision(set_index, line, False, now):
                 bypasses += 1
                 if has_bypass:
@@ -580,7 +542,6 @@ class FunctionalEngine:
                         on_evict(idx, now)
                 idx = base + way
                 tag[idx] = line
-                tag_np[idx] = line
                 use[idx] = 0
                 fill_time[idx] = now
                 fills += 1
@@ -601,116 +562,41 @@ class FunctionalEngine:
         self.l1_bypasses += bypasses
         self.l1_evictions += evictions
 
-    def _probe_fold(
-        self, c: int, A, l1: _L1State, pos: int, n: int, store_sink: List[int]
-    ) -> Tuple[int, int, int, int, int]:
-        """Chunked NumPy classification of a run of hits **and stores**.
-
-        Stops only at load misses (store misses touch no L1 state and
-        store hits restamp like load hits, so neither breaks the run).
-        Store positions are appended to ``store_sink``; hits are applied
-        through ``on_hit_run`` in access order (store hits included, so
-        last-touch-wins stamping matches the oracle).  Returns
-        ``(new_pos, loads, load_hits, stores, store_hits)``.
-        """
-        prof = self._prof
-        if prof is not None:
-            t0 = perf_counter()
-        tag2d = l1.tag2d
-        line = A.line
-        set1 = A.set1
-        write = A.write
-        use = l1.use_count
-        ways = l1.ways
-        rst = self._repl_st[c]
-        on_hit_run = self.repl.on_hit_run
-        chunk = self._chunk[c]
-        loads = load_hits = stores = store_hits = 0
-        while True:
-            end = pos + chunk
-            if end > n:
-                end = n
-            sets = set1[pos:end]
-            eq = tag2d[sets] == line[pos:end, None]
-            hit = eq.any(axis=1)
-            wv = write[pos:end]
-            stop = ~(hit | wv)
-            nz = np.flatnonzero(stop)
-            k = int(nz[0]) if nz.size else end - pos
-            if k:
-                hitk = hit[:k]
-                wk = wv[:k]
-                nstores = int(np.count_nonzero(wk))
-                if nstores:
-                    store_sink.extend((pos + np.flatnonzero(wk)).tolist())
-                    store_hits += int(np.count_nonzero(hitk & wk))
-                    slots = (
-                        sets[:k][hitk] * ways + eq[:k][hitk].argmax(axis=1)
-                    ).tolist()
-                else:
-                    slots = (
-                        sets[:k] * ways + eq[:k].argmax(axis=1)
-                    ).tolist()
-                stores += nstores
-                # Every load in the prefix is a hit (stops are misses).
-                loads += k - nstores
-                load_hits += k - nstores
-                for idx in slots:
-                    use[idx] += 1
-                on_hit_run(rst, l1, slots)
-                pos += k
-            if nz.size:
-                # Adapt the probe width to the observed run length.
-                self._chunk[c] = min(_MAX_CHUNK, max(_MIN_CHUNK, 2 * k))
-                break
-            if pos >= n:
-                self._chunk[c] = chunk
-                break
-            chunk = min(_MAX_CHUNK, chunk * 2)
-        if prof is not None:
-            prof["probe"] += perf_counter() - t0
-        return pos, loads, load_hits, stores, store_hits
-
     # ------------------------------------------------------------------
     # Feedback route (gc, gc-m): miss-only heap + deferred stores.
     # ------------------------------------------------------------------
     def _run_missheap(self, arrays) -> None:
         for A in arrays:
-            A.ensure_probe()
             A.ensure_scalar_l1()
             A.ensure_times()
             A.ensure_scalar_l2()
-        self._arrays = arrays
-        self._pos = [0] * len(arrays)
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-            p0 = prof["probe"]
         self._drain_missheap(arrays)
         if prof is not None:
-            prof["scalar_event"] += (
-                perf_counter() - t0 - (prof["probe"] - p0)
-            )
-        self._arrays = None
+            prof["scalar_event"] += perf_counter() - t0
 
     def _drain_missheap(self, arrays) -> None:
         """Event loop whose heap carries **load misses only**.
 
-        Stores are folded into the per-core walks
-        (:meth:`_advance_fold`); their L2 effect is parked in
-        per-(bank, set) buffers keyed by precomputed time and flushed —
-        oldest first — just before any same-set load miss executes, and
-        once more when the heap drains.  Deferral is safe because a
-        popped miss holds the minimum parked time: every other core has
-        already walked past (and therefore emitted) all its stores below
-        that time.  Within a set this replays the oracle's exact access
-        order; across sets, order is unobservable.
+        After each miss its core walks inline through hits and stores
+        to its next load miss.  The heap starts with one walk-only entry
+        per core at time -1 (below every transaction time), so that same
+        walk also reaches each core's first miss.  Stores' L2 effects
+        are parked in per-(bank, set) buffers keyed by precomputed time
+        and flushed — oldest first — just before any same-set load miss
+        executes, and once more when the heap drains.  Deferral is safe
+        because a popped miss holds the minimum parked time: every other
+        core has already walked past (and therefore emitted) all its
+        stores below that time.  Within a set this replays the oracle's
+        exact access order; across sets, order is unobservable.
         """
-        heap: List = []
+        # Sorted, so already a valid heap.
+        heap: List = [(-1, c) for c in range(len(arrays))]
         push = heapq.heappush
         pop = heapq.heappop
-        advance = self._advance_fold
-        pos_l = self._pos
+        pos_l = [0] * len(arrays)
         has_fill = self._has_fill
         has_bypass = self._has_bypass
         has_choose = self._has_choose
@@ -741,7 +627,7 @@ class FunctionalEngine:
         l1_fills = l1_bypasses = l1_evictions = 0
         l2_loads = l2_load_hits = l2_fills = 0
         l2_evictions = l2_writebacks = 0
-        hints_returned = contentions = 0
+        contentions = 0
 
         # One tuple per core / per bank bundling every hot attribute; a
         # single indexed load + unpack per event replaces ~25 attribute
@@ -752,7 +638,7 @@ class FunctionalEngine:
             (
                 A.line_l, A.write_l, A.set1_l, A.now_l, A.part_l,
                 A.local_l, A.set2_l, A.n, l1s[c].tag,
-                l1s[c].tag_np, l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
+                l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
                 l1s[c].valid_count, l1s[c].ways, repl_st[c], policies[c],
                 policies[c].switches.bits if fill_gate else None,
             )
@@ -764,140 +650,129 @@ class FunctionalEngine:
             for b in l2
         ]
 
-        for c in range(len(arrays)):
-            t = advance(c, pending)
-            if t is not None:
-                push(heap, (t, c))
         while heap:
             now, c = pop(heap)
             (line_l, write_l, set1_l, now_l, part_l, local_l, set2_l,
-             n, tag, tag_np, use, stamp, rrpv, l1_vc, ways, rst,
+             n, tag, use, stamp, rrpv, l1_vc, ways, rst,
              policy, gate) = core_cols[c]
             p = pos_l[c]
-            pos_l[c] = p + 1
-            line = line_l[p]
-            set_index = set1_l[p]
-            base = set_index * ways
-            if tick_interval:
-                left = tick_left[c] - 1
-                if left:
-                    tick_left[c] = left
+            if now >= 0:
+                # The walk stops only at L1 load misses, so this event
+                # is one.
+                line = line_l[p]
+                set_index = set1_l[p]
+                base = set_index * ways
+                if tick_interval:
+                    left = tick_left[c] - 1
+                    if left:
+                        tick_left[c] = left
+                    else:
+                        tick_left[c] = tick_interval
+                        policy.on_tick(now)
+                l1_loads += 1
+                part = part_l[p]
+                bset = set2_l[p]
+                (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
+                 bways) = bank_cols[part]
+                buf = pending.get(part * S2 + bset)
+                if buf:
+                    flush(bank, bset, buf, now)
+                bbase = bset * bways
+                l2_loads += 1
+                bseg = btag[bbase : bbase + bways]
+                local = local_l[p]
+                if local in bseg:
+                    bidx = bbase + bseg.index(local)
+                    buse[bidx] += 1
+                    l2_load_hits += 1
+                    bank.tick += 1
+                    bstamp_l[bidx] = bank.tick
                 else:
-                    tick_left[c] = tick_interval
-                    policy.on_tick(now)
-            # The walk stops only at L1 load misses, so this event is one.
-            l1_loads += 1
-            part = part_l[p]
-            bset = set2_l[p]
-            (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
-             bways) = bank_cols[part]
-            buf = pending.get(part * S2 + bset)
-            if buf:
-                flush(bank, bset, buf, now)
-            bbase = bset * bways
-            l2_loads += 1
-            bseg = btag[bbase : bbase + bways]
-            local = local_l[p]
-            if local in bseg:
-                bidx = bbase + bseg.index(local)
-                buse[bidx] += 1
-                l2_load_hits += 1
-                bank.tick += 1
-                bstamp_l[bidx] = bank.tick
-            else:
-                vc = bvc_l[bset]
-                if vc < bways:
-                    bidx = bbase + vc
-                    bvc_l[bset] = vc + 1
+                    vc = bvc_l[bset]
+                    if vc < bways:
+                        bidx = bbase + vc
+                        bvc_l[bset] = vc + 1
+                    else:
+                        bstamp = bstamp_l[bbase : bbase + bways]
+                        bidx = bbase + bstamp.index(min(bstamp))
+                        l2_evictions += 1
+                        if bdirty[bidx]:
+                            l2_writebacks += 1
+                        l2_reuse[buse[bidx]] += 1
+                    btag[bidx] = local
+                    bdirty[bidx] = 0
+                    buse[bidx] = 0
+                    bvb[bidx] = 0
+                    l2_fills += 1
+                    bank.tick += 1
+                    bstamp_l[bidx] = bank.tick
+                hint = False
+                if vd_masks is not None:
+                    mask = vd_masks[c]
+                    prev = bvb[bidx]
+                    bvb[bidx] = prev | mask
+                    if prev & mask:
+                        contentions += 1
+                        hint = True
+                # L1 fill.
+                if (
+                    has_fill
+                    and (hint or gate is None or gate[set_index])
+                    and policy.fill_decision(set_index, line, hint, now)
+                ):
+                    l1_bypasses += 1
+                    if has_bypass:
+                        policy.on_bypass(set_index, now)
                 else:
-                    bstamp = bstamp_l[bbase : bbase + bways]
-                    bidx = bbase + bstamp.index(min(bstamp))
-                    l2_evictions += 1
-                    if bdirty[bidx]:
-                        l2_writebacks += 1
-                    l2_reuse[buse[bidx]] += 1
-                btag[bidx] = local
-                bdirty[bidx] = 0
-                buse[bidx] = 0
-                bvb[bidx] = 0
-                l2_fills += 1
-                bank.tick += 1
-                bstamp_l[bidx] = bank.tick
-            hint = False
-            if vd_masks is not None:
-                mask = vd_masks[c]
-                prev = bvb[bidx]
-                bvb[bidx] = prev | mask
-                hints_returned += 1
-                if prev & mask:
-                    contentions += 1
-                    hint = True
-            # L1 fill.
-            if (
-                has_fill
-                and (hint or gate is None or gate[set_index])
-                and policy.fill_decision(set_index, line, hint, now)
-            ):
-                l1_bypasses += 1
-                if has_bypass:
-                    policy.on_bypass(set_index, now)
-            else:
-                vc = l1_vc[set_index]
-                if vc < ways:
-                    way = vc
-                    l1_vc[set_index] = vc + 1
-                else:
-                    way = (
-                        policy.choose_victim(set_index, now)
-                        if has_choose
-                        else None
-                    )
-                    if way is None:
-                        if lru:
-                            sseg = stamp[base : base + ways]
-                            way = sseg.index(min(sseg))
-                        else:
-                            # Inline of ReplacementModel.select_victim
-                            # (SRRIP): age to max, take the first line
-                            # that held the pre-aging maximum.
-                            rseg = rrpv[base : base + ways]
-                            top_val = max(rseg)
-                            if top_val < max_rrpv:
-                                delta = max_rrpv - top_val
-                                rrpv[base : base + ways] = [
-                                    v + delta for v in rseg
-                                ]
-                            way = rseg.index(top_val)
+                    vc = l1_vc[set_index]
+                    if vc < ways:
+                        way = vc
+                        l1_vc[set_index] = vc + 1
+                    else:
+                        way = (
+                            policy.choose_victim(set_index, now)
+                            if has_choose
+                            else None
+                        )
+                        if way is None:
+                            if lru:
+                                sseg = stamp[base : base + ways]
+                                way = sseg.index(min(sseg))
+                            else:
+                                # Inline of ReplacementModel.select_victim
+                                # (SRRIP): age to max, take the first line
+                                # that held the pre-aging maximum.
+                                rseg = rrpv[base : base + ways]
+                                top_val = max(rseg)
+                                if top_val < max_rrpv:
+                                    delta = max_rrpv - top_val
+                                    rrpv[base : base + ways] = [
+                                        v + delta for v in rseg
+                                    ]
+                                way = rseg.index(top_val)
+                        idx = base + way
+                        l1_evictions += 1
+                        l1_reuse[use[idx]] += 1
+                        if has_evict:
+                            policy.on_evict(idx, now)
                     idx = base + way
-                    l1_evictions += 1
-                    l1_reuse[use[idx]] += 1
-                    if has_evict:
-                        policy.on_evict(idx, now)
-                idx = base + way
-                tag[idx] = line
-                tag_np[idx] = line
-                use[idx] = 0
-                # fill_time is not maintained here: only non-batchable
-                # policies read it, and the constructor keeps them off
-                # this route.
-                l1_fills += 1
-                if lru:
-                    rst[0] += 1
-                    stamp[idx] = rst[0]
-                else:
-                    rrpv[idx] = insertion_rrpv
-                if has_insert and (hint or not insert_skip_cold):
-                    policy.on_insert(idx, hint, now)
-            # Re-arm: walk this core inline through hits and stores to
-            # its next load miss.  Runs here are short (the heap only
-            # exists because the stream is miss-heavy), so the per-call
-            # rebinding of a full _advance_fold would dominate; it is
-            # only invoked when a run grows long enough to probe.
-            p = pos_l[c]
-            if p >= n:
-                continue
-            processed = 0
-            streak = 0
+                    tag[idx] = line
+                    use[idx] = 0
+                    # fill_time is not maintained here: only non-batchable
+                    # policies read it, and the constructor keeps them off
+                    # this route.
+                    l1_fills += 1
+                    if lru:
+                        rst[0] += 1
+                        stamp[idx] = rst[0]
+                    else:
+                        rrpv[idx] = insertion_rrpv
+                    if has_insert and (hint or not insert_skip_cold):
+                        policy.on_insert(idx, hint, now)
+                p += 1
+            # Walk this core inline through hits and stores to its next
+            # load miss, which re-arms it in the heap.
+            start = p
             while p < n:
                 line = line_l[p]
                 base = set1_l[p] * ways
@@ -922,11 +797,6 @@ class FunctionalEngine:
                     else:
                         l1_loads += 1
                         l1_load_hits += 1
-                    p += 1
-                    processed += 1
-                    streak += 1
-                    if streak >= _PROBE_THRESHOLD:
-                        break
                 elif write_l[p]:
                     l1_stores += 1
                     key = part_l[p] * S2 + set2_l[p]
@@ -934,21 +804,14 @@ class FunctionalEngine:
                     if b is None:
                         pending[key] = b = []
                     b.append((now_l[p], local_l[p]))
-                    p += 1
-                    processed += 1
-                    streak += 1
                 else:
                     break
+                p += 1
             pos_l[c] = p
-            if tick_interval and processed:
-                tick_run(c, processed, now_l[p - 1])
+            if tick_interval and p > start:
+                tick_run(c, p - start, now_l[p - 1])
             if p < n:
-                if streak >= _PROBE_THRESHOLD:
-                    t = advance(c, pending)
-                    if t is not None:
-                        push(heap, (t, c))
-                else:
-                    push(heap, (now_l[p], c))
+                push(heap, (now_l[p], c))
         # Stores past every stream's final load miss are still parked.
         for gkey, buf in pending.items():
             if buf:
@@ -966,108 +829,7 @@ class FunctionalEngine:
         self.l2_fills += l2_fills
         self.l2_evictions += l2_evictions
         self.l2_writebacks += l2_writebacks
-        self.hints_returned += hints_returned
         self.contentions_detected += contentions
-
-    def _advance_fold(self, c: int, pending: Dict[int, list]) -> Optional[int]:
-        """Walk core ``c`` forward through hits *and* stores.
-
-        L1 effects apply inline; each store's L2 effect is appended to
-        its (bank, set) pending buffer as ``(now, local)``.  Stops at
-        the next L1 load miss and returns its precomputed time (``None``
-        at end of stream).  The periodic tick counts every access walked
-        here (see :meth:`_tick_run`).
-        """
-        A = self._arrays[c]
-        pos = self._pos[c]
-        n = A.n
-        if pos >= n:
-            return None
-        l1 = self.l1[c]
-        tag = l1.tag
-        ways = l1.ways
-        line_l = A.line_l
-        write_l = A.write_l
-        set1_l = A.set1_l
-        now_l = A.now_l
-        part_l = A.part_l
-        local_l = A.local_l
-        set2_l = A.set2_l
-        use = l1.use_count
-        rst = self._repl_st[c]
-        lru = self._lru
-        stamp = l1.stamp
-        rrpv = l1.rrpv
-        S2 = self.config.l2_bank_sets
-        probe_fold = self._probe_fold
-        start = pos
-        loads = load_hits = stores = store_hits = 0
-        streak = 0
-        while pos < n:
-            line = line_l[pos]
-            w = write_l[pos]
-            base = set1_l[pos] * ways
-            seg = tag[base : base + ways]
-            if line in seg:
-                idx = base + seg.index(line)
-                use[idx] += 1
-                if lru:
-                    t = rst[0] + 1
-                    rst[0] = t
-                    stamp[idx] = t
-                else:
-                    rrpv[idx] = 0
-                if w:
-                    stores += 1
-                    store_hits += 1
-                    key = part_l[pos] * S2 + set2_l[pos]
-                    b = pending.get(key)
-                    if b is None:
-                        pending[key] = b = []
-                    b.append((now_l[pos], local_l[pos]))
-                else:
-                    loads += 1
-                    load_hits += 1
-                pos += 1
-                streak += 1
-                if streak >= _PROBE_THRESHOLD:
-                    spos: List[int] = []
-                    pos, dl, dlh, ds, dsh = probe_fold(
-                        c, A, l1, pos, n, spos
-                    )
-                    loads += dl
-                    load_hits += dlh
-                    stores += ds
-                    store_hits += dsh
-                    for q in spos:
-                        key = part_l[q] * S2 + set2_l[q]
-                        b = pending.get(key)
-                        if b is None:
-                            pending[key] = b = []
-                        b.append((now_l[q], local_l[q]))
-                    streak = 0
-                continue
-            if w:
-                stores += 1
-                key = part_l[pos] * S2 + set2_l[pos]
-                b = pending.get(key)
-                if b is None:
-                    pending[key] = b = []
-                b.append((now_l[pos], local_l[pos]))
-                pos += 1
-                streak += 1
-                continue
-            break  # load miss: park in the heap
-        if self._tick_interval and pos > start:
-            self._tick_run(c, pos - start, now_l[pos - 1])
-        self._pos[c] = pos
-        self.l1_loads += loads
-        self.l1_load_hits += load_hits
-        self.l1_stores += stores
-        self.l1_store_hits += store_hits
-        if pos >= n:
-            return None
-        return now_l[pos]
 
     def _tick_run(self, c: int, accesses: int, now: int) -> None:
         """Count a walked run of ``accesses`` down core ``c``'s tick.

@@ -3,8 +3,8 @@
 Management policies need no functional copy: the engine attaches the
 design's real policy objects to its per-core L1 planes (see
 :mod:`repro.cache.policies.base`).  Replacement is different — the
-engine inlines LRU/SRRIP updates into its hit walks and NumPy probes,
-so it models the two supported kinds over its flat stamp/rrpv lists.
+engine inlines LRU/SRRIP updates into its walks and burst kernels, so
+it models the two supported kinds over its flat stamp/rrpv lists.
 """
 
 from __future__ import annotations
@@ -33,22 +33,6 @@ class ReplacementModel:
     def new_core(self):
         # LRU carries one monotonically increasing stamp tick per cache.
         return [0]
-
-    def on_hit_run(self, st, l1, slots: list) -> None:
-        """Apply one core's run of consecutive load hits (slot order =
-        access order, so with duplicate slots the last touch wins —
-        exactly the oracle's per-access stamping)."""
-        if self.kind == "lru":
-            tick = st[0]
-            stamp = l1.stamp
-            for idx in slots:
-                tick += 1
-                stamp[idx] = tick
-            st[0] = tick
-        else:
-            rrpv = l1.rrpv
-            for idx in slots:
-                rrpv[idx] = 0
 
     def select_victim(self, st, l1, base: int, top: int) -> int:
         if self.kind == "lru":

@@ -109,8 +109,9 @@ class CoreArrays:
             self.line = np.array(self.line_l, dtype=np.int64)
         return self.line
 
-    def ensure_probe(self) -> None:
-        """NumPy ``line``/``write``/``set1`` for the bulk L1 probes."""
+    def ensure_l1(self) -> None:
+        """NumPy ``line``/``write``/``set1`` for the L1 burst kernel
+        (the walk route reads only ``write``, for its L2 events)."""
         line = self._line_np()
         if self.write is None:
             self.write = np.array(self.write_l, dtype=np.bool_)

@@ -119,7 +119,7 @@ class TestPrebuiltArrays:
     def test_shared_arrays_equal_unshared_runs(self, trace, config):
         arrays = functional_arrays(trace, config)
         for a in arrays:  # materialize every lazy column up front
-            a.ensure_probe()
+            a.ensure_l1()
             a.ensure_scalar_l1()
             a.ensure_times()
             a.ensure_scalar_l2()

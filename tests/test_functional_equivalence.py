@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.policies.pdp import DynamicPDPPolicy
@@ -160,6 +160,18 @@ def test_hint_free_managed_designs_burst_l2(key, spmv_trace, config):
     engine = FunctionalEngine(config, _design(key), profile=True)
     engine.run(spmv_trace)
     assert engine.phase_seconds["burst"] > 0
+
+
+@pytest.mark.parametrize("key", ("dbp", "gc"))
+def test_profile_splits_burst_and_scalar_only(key, config):
+    """Both walk routes are one scalar loop per core: ``probe`` stays in
+    the phase split (profilers index it by name) and always reads 0.
+    SSC has long hit runs on both routes."""
+    engine = FunctionalEngine(config, _design(key), profile=True)
+    engine.run(build_benchmark("SSC", scale=0.1, seed=0))
+    assert set(engine.phase_seconds) == {"burst", "probe", "scalar_event"}
+    assert engine.phase_seconds["probe"] == 0.0
+    assert engine.phase_seconds["scalar_event"] > 0
 
 
 class _TickingPDP(DynamicPDPPolicy):
@@ -431,15 +443,35 @@ def burst_adversarial_kernels(draw):
 
 
 #: The designs that exercise each replay route: full L1+L2 bursts
-#: (bs, bs-s), scalar walk + L2 burst with probes (dbp) and with every
-#: hook called per access (pdp-3, spdp-b), and the load-miss heap with
-#: deferred store flushes (gc, gc-m).
+#: (bs, bs-s), scalar walk + L2 burst with hit hooks skipped (dbp) and
+#: with every hook called per access (pdp-3, spdp-b), and the load-miss
+#: heap with deferred store flushes (gc, gc-m).
 BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m")
+
+#: The miss heap's seed walks at their edges: core 1's stream is stores
+#: only (no load miss, so its first walk runs off the end with stores
+#: still parked), and cores 2 and 3 receive no CTA (empty streams).
+SEED_WALK_EDGES = KernelTrace(
+    name="SEED-WALK-EDGES",
+    ctas=[
+        CTATrace(warps=[[
+            _mem_op([line], write)
+            for line, write in (
+                (0, False), (1, False), (0, False), (_NUM_SETS, False),
+                (1, True), (0, False),
+            )
+        ]]),
+        CTATrace(warps=[[
+            _mem_op([line], True) for line in (0, 1, 2, 0, _NUM_SETS)
+        ]]),
+    ],
+)
 
 
 @pytest.mark.parametrize("key", BURST_PATH_DESIGNS)
 @settings(max_examples=15, deadline=None)
 @given(trace=burst_adversarial_kernels())
+@example(trace=SEED_WALK_EDGES)
 def test_burst_adversarial_match_oracle(key, trace):
     assert_equivalent(trace, ADV_CONFIG, _design(key))
 
