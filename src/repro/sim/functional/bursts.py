@@ -5,10 +5,12 @@ clock, but the only ordering that is *observable* in the counters is the
 per-(bank, set) ordering: all L2 state (tags, recency stamps, dirty
 bits, use counts, victim bits) is per-set, and the bank-wide recency
 tick only ever feeds ``stamp.index(min(stamp))`` **within one set**, so
-any per-set monotone clock selects the same victims.  Designs that
-never raise victim-bit hints (no cross-core feedback into L1 decisions)
-can therefore replay their whole L2 event stream *grouped by (bank,
-set)* instead of interleaved.
+any per-set monotone clock selects the same victims.  Any L2 event
+stream whose outcome feeds no L1 decision can therefore replay *grouped
+by (bank, set)* instead of interleaved: the whole stream of a design
+without victim-bit hints, and, for G-Cache, the stores and the loads
+that cannot carry a hint (victim bits are per-line state, so they ride
+along).
 
 This module implements that replay as **rounds over a CSR grouping**:
 events are sorted by ``(group, time)``; round ``r`` processes the
@@ -24,7 +26,7 @@ never degrades to one vector op per event.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -313,8 +315,9 @@ def l2_burst(
     set2: np.ndarray,
     write: np.ndarray,
     reuse,
+    mask: Optional[np.ndarray] = None,
     tail_threshold: int = _TAIL_THRESHOLD,
-) -> Tuple[int, int, int, int, int, int, int]:
+) -> Tuple[int, int, int, int, int, int, int, int]:
     """Replay all L2 events grouped by (bank, set), vectorized.
 
     ``banks`` are the engine's ``_L2Bank`` objects; their list state is
@@ -322,17 +325,23 @@ def l2_burst(
     callers (and :meth:`FunctionalEngine.result`) keep seeing the plain
     lists.  Eviction-time reuse generations are merged into ``reuse``
     (a ``Counter``).  Returns ``(loads, stores, load_hits, store_hits,
-    fills, evictions, writebacks)``.
+    fills, evictions, writebacks, contentions)``.
 
-    Only valid for designs without victim-bit hints: per-(bank, set)
-    event order is then equivalent to the oracle's global order (see the
-    module docstring), and ``vb`` state stays identically zero.
+    ``mask`` gives each event its requester's victim-bit group mask
+    (designs with hints; object dtype once the bits outgrow 64), and the
+    victim-bit plane takes its dtype: a load hit ORs it into the bits,
+    a load fill sets them to it and a store fill clears them.  A load
+    hit that finds its bit already set is a contention the oracle would
+    have returned as a hint; ``contentions`` counts them, so a caller
+    that bursts only loads which cannot carry a hint checks it is 0.
+    Without ``mask`` the bits are left alone (they stay zero for
+    hint-free designs) and ``contentions`` is 0.
     """
     n_ev = int(now.size)
     stores = int(np.count_nonzero(write)) if n_ev else 0
     loads = n_ev - stores
     if not n_ev:
-        return 0, 0, 0, 0, 0, 0, 0
+        return 0, 0, 0, 0, 0, 0, 0, 0
     P = len(banks)
     ways = banks[0].ways
     # ------------------------------------------------------------------
@@ -353,6 +362,11 @@ def l2_burst(
     vc = np.array(
         [b.valid_count for b in banks], dtype=np.int64
     ).reshape(P * num_sets)
+    if mask is not None:
+        vb2d = np.array([b.vb for b in banks], dtype=mask.dtype).reshape(
+            P * num_sets, ways
+        )
+        vb1 = vb2d.reshape(-1)
     # Per-group recency clock.  The oracle's clock is bank-wide, but only
     # within-set stamp *order* is observable; seeding from the resident
     # maximum keeps warm-engine stamps monotone.
@@ -361,6 +375,12 @@ def l2_burst(
     perm, gids, starts, counts = csr_group(part * num_sets + set2, now)
     loc = local[perm]
     wr = write[perm]
+    if mask is not None:
+        # Loads carry their group mask, stores 0 (a store fill clears).
+        ms = mask[perm]
+        ms[wr] = 0
+    else:
+        ms = None
 
     # Flat views over the same buffers: one `row*ways + way` index per
     # scatter beats NumPy's 2-array fancy indexing in the round loop.
@@ -370,6 +390,7 @@ def l2_burst(
     dirty1 = dirty2d.reshape(-1)
 
     load_hits = store_hits = fills = evictions = writebacks = 0
+    contentions = 0
     evict_use: List[np.ndarray] = []
     counts_asc = np.sort(counts)
     n_groups = counts.size
@@ -403,6 +424,11 @@ def l2_burst(
             load_hits += hflat.size - sh
             if sh:
                 dirty1[hflat[hw]] = 1
+            if ms is not None:
+                hm = ms[idx[hitm]]
+                prev = vb1[hflat]
+                contentions += int(np.count_nonzero(prev & hm))
+                vb1[hflat] = prev | hm
         # Misses: fill into the cold prefix or the min-stamp victim.
         mm = ~hitm
         mrows = rows[mm]
@@ -427,6 +453,8 @@ def l2_burst(
             dirty1[mflat] = w[mm]
             use1[mflat] = 0
             stamp1[mflat] = tk[mm]
+            if ms is not None:
+                vb1[mflat] = ms[idx[mm]]
             fills += mrows.size
         r += 1
 
@@ -450,7 +478,12 @@ def l2_burst(
             tkg = int(tick[gid])
             loc_l = loc[lo:hi].tolist()
             wr_l = wr[lo:hi].tolist()
-            for lvv, ww in zip(loc_l, wr_l):
+            if ms is not None:
+                vbg = vb2d[gid].tolist()
+                ms_l = ms[lo:hi].tolist()
+            else:
+                vbg = ms_l = None
+            for o, (lvv, ww) in enumerate(zip(loc_l, wr_l)):
                 tkg += 1
                 if lvv in seg:
                     i = seg.index(lvv)
@@ -461,6 +494,11 @@ def l2_burst(
                         dt[i] = 1
                     else:
                         load_hits += 1
+                        if vbg is not None:
+                            m = ms_l[o]
+                            if vbg[i] & m:
+                                contentions += 1
+                            vbg[i] |= m
                 else:
                     if vcg < ways:
                         i = vcg
@@ -475,6 +513,8 @@ def l2_burst(
                     dt[i] = 1 if ww else 0
                     us[i] = 0
                     stp[i] = tkg
+                    if vbg is not None:
+                        vbg[i] = ms_l[o]
                     fills += 1
             tag2d[gid] = seg
             stamp2d[gid] = stp
@@ -482,6 +522,8 @@ def l2_burst(
             dirty2d[gid] = dt
             vc[gid] = vcg
             tick[gid] = tkg
+            if vbg is not None:
+                vb2d[gid] = vbg
         for u in tail_use:
             reuse[u] += 1
 
@@ -499,11 +541,17 @@ def l2_burst(
     dirtyf = dirty2d.reshape(P, num_sets * ways)
     vcf = vc.reshape(P, num_sets)
     tickf = tick.reshape(P, num_sets)
+    vbf = vb2d.reshape(P, num_sets * ways) if mask is not None else None
     for b, bank in enumerate(banks):
+        if vbf is not None:
+            bank.vb = vbf[b].tolist()
         bank.tag = tagf[b].tolist()
         bank.stamp = stampf[b].tolist()
         bank.use = usef[b].tolist()
         bank.dirty = bytearray(dirtyf[b].tobytes())
         bank.valid_count = vcf[b].tolist()
         bank.tick = int(tickf[b].max())
-    return loads, stores, load_hits, store_hits, fills, evictions, writebacks
+    return (
+        loads, stores, load_hits, store_hits, fills, evictions, writebacks,
+        contentions,
+    )

@@ -29,12 +29,19 @@ does L2 state feed back into L1?
   live in the core's own policy object, and its victim order reads the
   ``fill_time`` the walk stores.
 * **Feedback** (gc, gc-m: a hint changes the fill, which changes the
-  core's future hits).  Load misses must resolve in global order, so
-  they drain through a min-heap — but *only* load misses: hits and
-  stores are folded into the per-core walks and the stores' L2 effects
-  parked in per-(bank, set) buffers, flushed in time order just before
-  the next same-set miss.  A store's time is always below every parked
-  miss time when its core walks past it, so the deferral never reorders
+  core's future hits).  A hint is a *second* L2 request for a line from
+  the same L1, or the same victim-bit share group (paper Section 4.2),
+  so only a load whose group loaded the line before in this run, or
+  whose line starts the run in L2 with the group's bit set, can carry
+  one.  Only those *hint-capable* load misses resolve in global order,
+  through a min-heap.  Everything else is folded into the per-core
+  walks: hits, stores, and the other load misses, which fill inline
+  with ``hint=False`` (they could never see a hint, whenever their L2
+  access runs).  The L2 effects of stores and inline misses are parked
+  in per-(bank, set) buffers, flushed in time order just before the
+  next same-set heap miss, and the rest replay in one :func:`l2_burst`
+  when the heap drains.  An event's time is always below every heap
+  time when its core walks past it, so the deferral never reorders
   observable same-set state.  The walks skip the hit hooks, so this
   route requires a batchable policy.
 """
@@ -42,10 +49,11 @@ does L2 state feed back into L1?
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -144,10 +152,11 @@ class FunctionalEngine:
 
     With ``profile=True`` the engine accumulates a wall-clock breakdown
     in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L1/L2
-    rounds) and ``"scalar_event"`` (everything scalar: walks, heap
-    events, store flushes) — so the remaining scalar residue is
-    measurable.  ``"probe"`` is always 0.0; it stays because profilers
-    read the key set by name.
+    rounds, including the miss heap's drain-end burst) and
+    ``"scalar_event"`` (everything else: walks, heap events, parked-event
+    flushes and the miss heap's hint-capable pre-pass) — so the
+    remaining scalar residue is measurable.  ``"probe"`` is always 0.0;
+    it stays because profilers read the key set by name.
     """
 
     def __init__(
@@ -213,6 +222,7 @@ class FunctionalEngine:
             for _ in range(cfg.num_partitions)
         ]
         self._vd_masks: Optional[List[int]] = None
+        self._share = victim_share_factor
         if self.design.uses_victim_bits:
             if victim_share_factor < 1 or (
                 cfg.num_cores % victim_share_factor
@@ -225,6 +235,12 @@ class FunctionalEngine:
                 1 << (i // victim_share_factor)
                 for i in range(cfg.num_cores)
             ]
+            # NumPy dtype of victim-bit masks: int64 while every group's
+            # bit fits, else Python ints.
+            self._vb_dtype = (
+                np.int64 if cfg.num_cores // victim_share_factor < 64
+                else object
+            )
         self.addr_map = AddressMap(cfg.num_partitions, cfg.mc_interleave_lines)
         self.phase_seconds = {"burst": 0.0, "probe": 0.0, "scalar_event": 0.0}
         self._prof = self.phase_seconds if profile else None
@@ -331,31 +347,13 @@ class FunctionalEngine:
             return
         if prof is not None:
             t1 = perf_counter()
-        (
-            l2_loads,
-            l2_stores,
-            l2_load_hits,
-            l2_store_hits,
-            l2_fills,
-            l2_evictions,
-            l2_writebacks,
-        ) = l2_burst(
-            self.l2,
-            self.config.l2_bank_sets,
+        self._l2_burst(
             np.concatenate(ev_now),
             np.concatenate(ev_part),
             np.concatenate(ev_local),
             np.concatenate(ev_set2),
             np.concatenate(ev_write),
-            self.l2_reuse,
         )
-        self.l2_loads += l2_loads
-        self.l2_stores += l2_stores
-        self.l2_load_hits += l2_load_hits
-        self.l2_store_hits += l2_store_hits
-        self.l2_fills += l2_fills
-        self.l2_evictions += l2_evictions
-        self.l2_writebacks += l2_writebacks
         if prof is not None:
             prof["burst"] += perf_counter() - t1
 
@@ -407,31 +405,13 @@ class FunctionalEngine:
         if ev.size:
             for A in arrays:
                 A.ensure_l2()
-            (
-                l2_loads,
-                l2_stores,
-                l2_load_hits,
-                l2_store_hits,
-                l2_fills,
-                l2_evictions,
-                l2_writebacks,
-            ) = l2_burst(
-                self.l2,
-                self.config.l2_bank_sets,
+            self._l2_burst(
                 np.concatenate([A.now for A in arrays])[ev],
                 np.concatenate([A.part for A in arrays])[ev],
                 np.concatenate([A.local for A in arrays])[ev],
                 np.concatenate([A.set2 for A in arrays])[ev],
                 write[ev],
-                self.l2_reuse,
             )
-            self.l2_loads += l2_loads
-            self.l2_stores += l2_stores
-            self.l2_load_hits += l2_load_hits
-            self.l2_store_hits += l2_store_hits
-            self.l2_fills += l2_fills
-            self.l2_evictions += l2_evictions
-            self.l2_writebacks += l2_writebacks
         if prof is not None:
             prof["burst"] += perf_counter() - t0
 
@@ -563,40 +543,124 @@ class FunctionalEngine:
         self.l1_evictions += evictions
 
     # ------------------------------------------------------------------
-    # Feedback route (gc, gc-m): miss-only heap + deferred stores.
+    # Feedback route (gc, gc-m): hint-capable load misses take the heap;
+    # every other L2 event parks per (bank, set).
     # ------------------------------------------------------------------
     def _run_missheap(self, arrays) -> None:
         for A in arrays:
+            A.ensure_l1()
             A.ensure_scalar_l1()
             A.ensure_times()
             A.ensure_scalar_l2()
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-        self._drain_missheap(arrays)
+        parked = self._drain_missheap(arrays, self._hint_capable(arrays))
         if prof is not None:
-            prof["scalar_event"] += perf_counter() - t0
+            t1 = perf_counter()
+            prof["scalar_event"] += t1 - t0
+        self._burst_parked(arrays, parked)
+        if prof is not None:
+            prof["burst"] += perf_counter() - t1
 
-    def _drain_missheap(self, arrays) -> None:
-        """Event loop whose heap carries **load misses only**.
+    def _hint_capable(self, arrays) -> List[bytearray]:
+        """Per-core flags, 1 at each load that may receive a victim hint.
 
-        After each miss its core walks inline through hits and stores
-        to its next load miss.  The heap starts with one walk-only entry
-        per core at time -1 (below every transaction time), so that same
-        walk also reaches each core's first miss.  Stores' L2 effects
-        are parked in per-(bank, set) buffers keyed by precomputed time
-        and flushed — oldest first — just before any same-set load miss
-        executes, and once more when the heap drains.  Deferral is safe
-        because a popped miss holds the minimum parked time: every other
-        core has already walked past (and therefore emitted) all its
-        stores below that time.  Within a set this replays the oracle's
-        exact access order; across sets, order is unobservable.
+        A hint is the requester group's victim bit found already set on
+        the L2 line: a *second* L2 request from the same L1 (or share
+        group) within the line's L2 generation (paper Section 4.2).  A
+        load can therefore carry one only if its group loaded the line
+        earlier in this run, or if the line sits in L2 at run start with
+        the group's bit set (a warm engine).  Every other load is its
+        group's first to the line, and its hint is ``False`` however its
+        L2 access interleaves with other cores'.  The test counts L1
+        hits as loads too, so it flags a superset of the second
+        requests: that costs heap traffic, never exactness.
         """
+        if self._vd_masks is None:
+            # A tick alone puts a design on this route; no load hints.
+            return [bytearray(A.n) for A in arrays]
+        share = self._share
+        warm = any(any(b.vb) for b in self.l2)
+        if warm:
+            # Resident lines with any victim bit set, keyed like the
+            # loads below: `local * P + bank`.
+            P = len(self.l2)
+            tag = np.array([b.tag for b in self.l2], dtype=np.int64)
+            vb = np.array([b.vb for b in self.l2], dtype=self._vb_dtype)
+            keep = vb != 0
+            key = (tag * P + np.arange(P)[:, None])[keep]
+            srt = np.argsort(key)
+            key = key[srt]
+            bits = vb[keep][srt]
+        out = []
+        # One share group at a time keeps the temporaries small.
+        for g in range(len(arrays) // share):
+            members = arrays[g * share : (g + 1) * share]
+            ld = [np.flatnonzero(~A.write) for A in members]
+            line = np.concatenate([A.line[p] for A, p in zip(members, ld)])
+            flag = np.zeros(line.size, dtype=np.bool_)
+            if line.size:
+                # Loads of the group's line in time order; all but the
+                # first are hint-capable.
+                now = np.concatenate([A.now[p] for A, p in zip(members, ld)])
+                order = np.lexsort((now, line))
+                sl = line[order]
+                first = np.empty(order.size, dtype=np.bool_)
+                first[0] = True
+                np.not_equal(sl[1:], sl[:-1], out=first[1:])
+                flag[order[~first]] = True
+                if warm:
+                    # A first load whose line is resident with the
+                    # group's bit set is hint-capable too.
+                    fo = order[first]
+                    q = (
+                        np.concatenate(
+                            [A.local[p] for A, p in zip(members, ld)]
+                        )[fo] * P
+                        + np.concatenate(
+                            [A.part[p] for A, p in zip(members, ld)]
+                        )[fo]
+                    )
+                    i = np.minimum(np.searchsorted(key, q), key.size - 1)
+                    flag[fo] = (key[i] == q) & ((bits[i] >> g) & 1 != 0)
+            o = 0
+            for A, p in zip(members, ld):
+                f = np.zeros(A.n, dtype=np.uint8)
+                f[p] = flag[o : o + p.size]
+                o += p.size
+                out.append(bytearray(f))
+        return out
+
+    def _drain_missheap(self, arrays, hint_capable) -> List[array]:
+        """Event loop whose heap carries **hint-capable load misses only**.
+
+        Each core walks inline through its hits, stores and the load
+        misses that cannot carry a victim hint (``hint_capable`` is 0:
+        the first load of the line from the core's share group, see
+        :meth:`_hint_capable`), and stops at its next hint-capable load
+        miss, which re-arms it in the heap.  The heap starts with one
+        walk-only entry per core at time -1 (below every transaction
+        time), so that same walk also reaches each core's first stop.
+
+        L1 state is core-private, so a walk may run ahead of other
+        cores: the inline misses fill with ``hint=False`` through the
+        same hooks the heap calls, and due ticks fire before each of
+        them.  Their L2 loads, and every store's L2 write, are parked
+        in per-(bank, set) buffers as ``now * num_cores + core`` and
+        flushed oldest first just before a same-set hint-capable miss
+        runs its L2 access.  That keeps the oracle's per-set order: a
+        popped miss holds the minimum heap time, and every other core
+        has walked past (and therefore parked) all its events below it.
+        Across sets, order is unobservable.  Returns the events still
+        parked at drain end; :meth:`_burst_parked` replays them.
+        """
+        C = len(arrays)
         # Sorted, so already a valid heap.
-        heap: List = [(-1, c) for c in range(len(arrays))]
+        heap: List = [(-1, c) for c in range(C)]
         push = heapq.heappush
         pop = heapq.heappop
-        pos_l = [0] * len(arrays)
+        pos_l = [0] * C
         has_fill = self._has_fill
         has_bypass = self._has_bypass
         has_choose = self._has_choose
@@ -608,8 +672,7 @@ class FunctionalEngine:
         policies = self.mgmt
         repl_st = self._repl_st
         l1s = self.l1
-        l2 = self.l2
-        vd_masks = self._vd_masks
+        vd_masks = self._vd_masks or [0] * C
         lru = self._lru
         insertion_rrpv = self.repl.insertion_rrpv
         max_rrpv = self.repl.max_rrpv
@@ -618,12 +681,17 @@ class FunctionalEngine:
         # bypasses, so the call is skipped.
         fill_gate = has_fill and policies[0].fill_gate_switches
         insert_skip_cold = policies[0].insert_skip_cold
-        flush = self._flush_stores
+        flush = self._flush_parked
         S2 = self.config.l2_bank_sets
         l1_reuse = self.l1_reuse
         l2_reuse = self.l2_reuse
-        pending: Dict[int, list] = {}
-        l1_loads = l1_load_hits = l1_stores = l1_store_hits = 0
+        # One buffer per (bank, set), indexed by `part * S2 + set2`.
+        parked = [array("q") for _ in range(len(self.l2) * S2)]
+        parked_cols = [
+            (A.now_l, A.local_l, A.write_l, vd_masks[c])
+            for c, A in enumerate(arrays)
+        ]
+        l1_store_hits = 0
         l1_fills = l1_bypasses = l1_evictions = 0
         l2_loads = l2_load_hits = l2_fills = 0
         l2_evictions = l2_writebacks = 0
@@ -637,8 +705,8 @@ class FunctionalEngine:
         core_cols = [
             (
                 A.line_l, A.write_l, A.set1_l, A.now_l, A.part_l,
-                A.local_l, A.set2_l, A.n, l1s[c].tag,
-                l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
+                A.local_l, A.set2_l, A.n, hint_capable[c], vd_masks[c],
+                l1s[c].tag, l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
                 l1s[c].valid_count, l1s[c].ways, repl_st[c], policies[c],
                 policies[c].switches.bits if fill_gate else None,
             )
@@ -647,135 +715,24 @@ class FunctionalEngine:
         bank_cols = [
             (b, b.tag, b.stamp, b.use, b.dirty, b.vb, b.valid_count,
              b.ways)
-            for b in l2
+            for b in self.l2
         ]
 
         while heap:
             now, c = pop(heap)
             (line_l, write_l, set1_l, now_l, part_l, local_l, set2_l,
-             n, tag, use, stamp, rrpv, l1_vc, ways, rst,
+             n, capable, mask, tag, use, stamp, rrpv, l1_vc, ways, rst,
              policy, gate) = core_cols[c]
             p = pos_l[c]
-            if now >= 0:
-                # The walk stops only at L1 load misses, so this event
-                # is one.
+            # A real time marks this core's turn: the access at p is the
+            # hint-capable load miss its last walk stopped at.
+            due = now >= 0
+            # First access not yet counted down toward the next tick.
+            run = p
+            while p < n:
                 line = line_l[p]
                 set_index = set1_l[p]
                 base = set_index * ways
-                if tick_interval:
-                    left = tick_left[c] - 1
-                    if left:
-                        tick_left[c] = left
-                    else:
-                        tick_left[c] = tick_interval
-                        policy.on_tick(now)
-                l1_loads += 1
-                part = part_l[p]
-                bset = set2_l[p]
-                (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
-                 bways) = bank_cols[part]
-                buf = pending.get(part * S2 + bset)
-                if buf:
-                    flush(bank, bset, buf, now)
-                bbase = bset * bways
-                l2_loads += 1
-                bseg = btag[bbase : bbase + bways]
-                local = local_l[p]
-                if local in bseg:
-                    bidx = bbase + bseg.index(local)
-                    buse[bidx] += 1
-                    l2_load_hits += 1
-                    bank.tick += 1
-                    bstamp_l[bidx] = bank.tick
-                else:
-                    vc = bvc_l[bset]
-                    if vc < bways:
-                        bidx = bbase + vc
-                        bvc_l[bset] = vc + 1
-                    else:
-                        bstamp = bstamp_l[bbase : bbase + bways]
-                        bidx = bbase + bstamp.index(min(bstamp))
-                        l2_evictions += 1
-                        if bdirty[bidx]:
-                            l2_writebacks += 1
-                        l2_reuse[buse[bidx]] += 1
-                    btag[bidx] = local
-                    bdirty[bidx] = 0
-                    buse[bidx] = 0
-                    bvb[bidx] = 0
-                    l2_fills += 1
-                    bank.tick += 1
-                    bstamp_l[bidx] = bank.tick
-                hint = False
-                if vd_masks is not None:
-                    mask = vd_masks[c]
-                    prev = bvb[bidx]
-                    bvb[bidx] = prev | mask
-                    if prev & mask:
-                        contentions += 1
-                        hint = True
-                # L1 fill.
-                if (
-                    has_fill
-                    and (hint or gate is None or gate[set_index])
-                    and policy.fill_decision(set_index, line, hint, now)
-                ):
-                    l1_bypasses += 1
-                    if has_bypass:
-                        policy.on_bypass(set_index, now)
-                else:
-                    vc = l1_vc[set_index]
-                    if vc < ways:
-                        way = vc
-                        l1_vc[set_index] = vc + 1
-                    else:
-                        way = (
-                            policy.choose_victim(set_index, now)
-                            if has_choose
-                            else None
-                        )
-                        if way is None:
-                            if lru:
-                                sseg = stamp[base : base + ways]
-                                way = sseg.index(min(sseg))
-                            else:
-                                # Inline of ReplacementModel.select_victim
-                                # (SRRIP): age to max, take the first line
-                                # that held the pre-aging maximum.
-                                rseg = rrpv[base : base + ways]
-                                top_val = max(rseg)
-                                if top_val < max_rrpv:
-                                    delta = max_rrpv - top_val
-                                    rrpv[base : base + ways] = [
-                                        v + delta for v in rseg
-                                    ]
-                                way = rseg.index(top_val)
-                        idx = base + way
-                        l1_evictions += 1
-                        l1_reuse[use[idx]] += 1
-                        if has_evict:
-                            policy.on_evict(idx, now)
-                    idx = base + way
-                    tag[idx] = line
-                    use[idx] = 0
-                    # fill_time is not maintained here: only non-batchable
-                    # policies read it, and the constructor keeps them off
-                    # this route.
-                    l1_fills += 1
-                    if lru:
-                        rst[0] += 1
-                        stamp[idx] = rst[0]
-                    else:
-                        rrpv[idx] = insertion_rrpv
-                    if has_insert and (hint or not insert_skip_cold):
-                        policy.on_insert(idx, hint, now)
-                p += 1
-            # Walk this core inline through hits and stores to its next
-            # load miss, which re-arms it in the heap.
-            start = p
-            while p < n:
-                line = line_l[p]
-                base = set1_l[p] * ways
                 seg = tag[base : base + ways]
                 if line in seg:
                     idx = base + seg.index(line)
@@ -786,40 +743,146 @@ class FunctionalEngine:
                         stamp[idx] = t
                     else:
                         rrpv[idx] = 0
-                    if write_l[p]:
-                        l1_stores += 1
-                        l1_store_hits += 1
-                        key = part_l[p] * S2 + set2_l[p]
-                        b = pending.get(key)
-                        if b is None:
-                            pending[key] = b = []
-                        b.append((now_l[p], local_l[p]))
-                    else:
-                        l1_loads += 1
-                        l1_load_hits += 1
+                    if not write_l[p]:
+                        p += 1
+                        continue
+                    l1_store_hits += 1
                 elif write_l[p]:
-                    l1_stores += 1
-                    key = part_l[p] * S2 + set2_l[p]
-                    b = pending.get(key)
-                    if b is None:
-                        pending[key] = b = []
-                    b.append((now_l[p], local_l[p]))
-                else:
+                    # Write-through no-allocate: store misses skip L1.
+                    pass
+                elif capable[p] and not due:
                     break
+                else:
+                    # Load miss: the due hint-capable one runs its L2
+                    # access now; any other parks it (no hint possible).
+                    now = now_l[p]
+                    part = part_l[p]
+                    bset = set2_l[p]
+                    hint = False
+                    if due:
+                        due = False
+                        (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
+                         bways) = bank_cols[part]
+                        buf = parked[part * S2 + bset]
+                        if buf:
+                            flush(bank, bset, buf, now, parked_cols)
+                        bbase = bset * bways
+                        l2_loads += 1
+                        bseg = btag[bbase : bbase + bways]
+                        local = local_l[p]
+                        if local in bseg:
+                            bidx = bbase + bseg.index(local)
+                            buse[bidx] += 1
+                            l2_load_hits += 1
+                            bank.tick += 1
+                            bstamp_l[bidx] = bank.tick
+                        else:
+                            vc = bvc_l[bset]
+                            if vc < bways:
+                                bidx = bbase + vc
+                                bvc_l[bset] = vc + 1
+                            else:
+                                bstamp = bstamp_l[bbase : bbase + bways]
+                                bidx = bbase + bstamp.index(min(bstamp))
+                                l2_evictions += 1
+                                if bdirty[bidx]:
+                                    l2_writebacks += 1
+                                l2_reuse[buse[bidx]] += 1
+                            btag[bidx] = local
+                            bdirty[bidx] = 0
+                            buse[bidx] = 0
+                            bvb[bidx] = 0
+                            l2_fills += 1
+                            bank.tick += 1
+                            bstamp_l[bidx] = bank.tick
+                        prev = bvb[bidx]
+                        bvb[bidx] = prev | mask
+                        if prev & mask:
+                            contentions += 1
+                            hint = True
+                    else:
+                        parked[part * S2 + bset].append(now * C + c)
+                    if tick_interval:
+                        k = p + 1 - run
+                        if k >= tick_left[c]:
+                            # Ticks due by this access fire before its
+                            # hooks.
+                            tick_run(c, k, now)
+                            run = p + 1
+                    # L1 fill.
+                    if (
+                        has_fill
+                        and (hint or gate is None or gate[set_index])
+                        and policy.fill_decision(set_index, line, hint, now)
+                    ):
+                        l1_bypasses += 1
+                        if has_bypass:
+                            policy.on_bypass(set_index, now)
+                    else:
+                        vc = l1_vc[set_index]
+                        if vc < ways:
+                            way = vc
+                            l1_vc[set_index] = vc + 1
+                        else:
+                            way = (
+                                policy.choose_victim(set_index, now)
+                                if has_choose
+                                else None
+                            )
+                            if way is None:
+                                if lru:
+                                    sseg = stamp[base : base + ways]
+                                    way = sseg.index(min(sseg))
+                                else:
+                                    # Inline of ReplacementModel
+                                    # .select_victim (SRRIP): age to
+                                    # max, take the first line that
+                                    # held the pre-aging maximum.
+                                    rseg = rrpv[base : base + ways]
+                                    top_val = max(rseg)
+                                    if top_val < max_rrpv:
+                                        delta = max_rrpv - top_val
+                                        rrpv[base : base + ways] = [
+                                            v + delta for v in rseg
+                                        ]
+                                    way = rseg.index(top_val)
+                            idx = base + way
+                            l1_evictions += 1
+                            l1_reuse[use[idx]] += 1
+                            if has_evict:
+                                policy.on_evict(idx, now)
+                        idx = base + way
+                        tag[idx] = line
+                        use[idx] = 0
+                        # fill_time is not maintained here: only
+                        # non-batchable policies read it, and the
+                        # constructor keeps them off this route.
+                        l1_fills += 1
+                        if lru:
+                            rst[0] += 1
+                            stamp[idx] = rst[0]
+                        else:
+                            rrpv[idx] = insertion_rrpv
+                        if has_insert and (hint or not insert_skip_cold):
+                            policy.on_insert(idx, hint, now)
+                    p += 1
+                    continue
+                # A store, hit or miss: park its L2 write.
+                parked[part_l[p] * S2 + set2_l[p]].append(now_l[p] * C + c)
                 p += 1
             pos_l[c] = p
-            if tick_interval and p > start:
-                tick_run(c, p - start, now_l[p - 1])
+            if tick_interval and p > run:
+                tick_run(c, p - run, now_l[p - 1])
             if p < n:
                 push(heap, (now_l[p], c))
-        # Stores past every stream's final load miss are still parked.
-        for gkey, buf in pending.items():
-            if buf:
-                flush(l2[gkey // S2], gkey % S2, buf, None)
 
-        self.l1_loads += l1_loads
-        self.l1_load_hits += l1_load_hits
-        self.l1_stores += l1_stores
+        # Every access was walked once, and a load hit is a load that
+        # neither filled nor bypassed.
+        stores = sum(int(np.count_nonzero(A.write)) for A in arrays)
+        loads = sum(A.n for A in arrays) - stores
+        self.l1_loads += loads
+        self.l1_load_hits += loads - l1_fills - l1_bypasses
+        self.l1_stores += stores
         self.l1_store_hits += l1_store_hits
         self.l1_fills += l1_fills
         self.l1_bypasses += l1_bypasses
@@ -830,14 +893,16 @@ class FunctionalEngine:
         self.l2_evictions += l2_evictions
         self.l2_writebacks += l2_writebacks
         self.contentions_detected += contentions
+        return parked
 
     def _tick_run(self, c: int, accesses: int, now: int) -> None:
-        """Count a walked run of ``accesses`` down core ``c``'s tick.
+        """Count ``accesses`` walked accesses down core ``c``'s tick.
 
-        Every tick that falls inside the run is delivered at its end
-        (``now`` is the run's last access time, used only for tracing).
-        That is exact for batchable policies: hits and stores call no
-        hook, so nothing in the run can observe when a tick fired.
+        Every tick that falls inside them is delivered now, with ``now``
+        (used only for tracing) the time of the last one.  That is exact
+        for batchable policies as long as the walk calls it before each
+        hooked access a tick is due by: hits and stores call no hook, so
+        nothing else can observe when a tick fired.
         """
         left = self._tick_left[c]
         if accesses < left:
@@ -850,22 +915,29 @@ class FunctionalEngine:
         for _ in range(1 + over // interval):
             on_tick(now)
 
-    def _flush_stores(
-        self, bank: _L2Bank, bset: int, buf: list, upto: Optional[int]
+    def _flush_parked(
+        self, bank: _L2Bank, bset: int, buf: array, upto: int, cols: list
     ) -> None:
-        """Apply pending stores for one (bank, set), oldest first.
+        """Apply one (bank, set)'s parked events before ``upto``, oldest
+        first.
 
-        ``buf`` holds ``(now, local)`` pairs (unsorted: it merges one
-        sorted run per core); entries with ``now < upto`` are applied
-        and removed (all of them when ``upto`` is None).  Times are
-        globally unique, so the sort is total.
+        ``buf`` holds ``now * num_cores + core`` codes (unsorted: it
+        merges one sorted run per core); times are globally unique, so
+        the order is total.  ``cols[core]`` is that core's ``(now_l,
+        local_l, write_l, mask)``.  A parked load is its share group's
+        first load of the line (:meth:`_hint_capable`).  A hint needs a
+        second request from the group (paper Section 4.2), so the
+        group's victim bit is clear and the load only ORs its mask in;
+        its L1 fill already ran, with ``hint=False``, in its core's
+        walk.
         """
-        buf.sort()
-        k = len(buf) if upto is None else bisect_left(buf, (upto,))
+        C = len(cols)
+        events = sorted(buf)
+        k = bisect_left(events, upto * C)
         if not k:
             return
-        entries = buf[:k]
-        del buf[:k]
+        del buf[:]
+        buf.extend(events[k:])
         ways = bank.ways
         base = bset * ways
         tag = bank.tag
@@ -876,17 +948,28 @@ class FunctionalEngine:
         vc_l = bank.valid_count
         tick = bank.tick
         l2_reuse = self.l2_reuse
-        stores = store_hits = fills = evictions = writebacks = 0
-        for _, local in entries:
-            stores += 1
+        stores = store_hits = load_hits = 0
+        fills = evictions = writebacks = 0
+        for code in events[:k]:
+            now, c = divmod(code, C)
+            now_l, local_l, write_l, mask = cols[c]
+            p = bisect_left(now_l, now)
+            local = local_l[p]
+            write = write_l[p]
+            if write:
+                stores += 1
             seg = tag[base : base + ways]
             tick += 1
             if local in seg:
                 i = base + seg.index(local)
                 use[i] += 1
-                store_hits += 1
-                dirty[i] = 1
                 stamp[i] = tick
+                if write:
+                    store_hits += 1
+                    dirty[i] = 1
+                else:
+                    load_hits += 1
+                    vb[i] |= mask
             else:
                 vcv = vc_l[bset]
                 if vcv < ways:
@@ -900,17 +983,94 @@ class FunctionalEngine:
                         writebacks += 1
                     l2_reuse[use[i]] += 1
                 tag[i] = local
-                dirty[i] = 1
                 use[i] = 0
-                vb[i] = 0
-                fills += 1
                 stamp[i] = tick
+                if write:
+                    dirty[i] = 1
+                    vb[i] = 0
+                else:
+                    dirty[i] = 0
+                    vb[i] = mask
+                fills += 1
         bank.tick = tick
+        self.l2_loads += k - stores
         self.l2_stores += stores
+        self.l2_load_hits += load_hits
         self.l2_store_hits += store_hits
         self.l2_fills += fills
         self.l2_evictions += evictions
         self.l2_writebacks += writebacks
+
+    def _burst_parked(self, arrays, parked: List[array]) -> None:
+        """Replay the events still parked at drain end in one
+        :func:`l2_burst`.
+
+        Each is later than every hint-capable miss of its (bank, set),
+        so the burst's per-set order is the oracle's.  None can meet a
+        victim bit of its own group: the burst's contention count is
+        checked to be 0.
+        """
+        code = np.frombuffer(b"".join(parked), dtype=np.int64)
+        if not code.size:
+            return
+        C = len(arrays)
+        core = code % C
+        part = np.empty_like(code)
+        local = np.empty_like(code)
+        set2 = np.empty_like(code)
+        write = np.empty(code.size, dtype=np.bool_)
+        for c, A in enumerate(arrays):
+            sel = np.flatnonzero(core == c)
+            if sel.size:
+                p = np.searchsorted(A.now, code[sel] // C)
+                part[sel] = A.part[p]
+                local[sel] = A.local[p]
+                set2[sel] = A.set2[p]
+                write[sel] = A.write[p]
+        mask = (
+            np.array(self._vd_masks, dtype=self._vb_dtype)[core]
+            if self._vd_masks is not None
+            else None
+        )
+        # The codes sort like the event times, which is all the burst
+        # reads of them.
+        if self._l2_burst(code, part, local, set2, write, mask):
+            raise RuntimeError(
+                "a parked L2 load met its own victim bit: the "
+                "hint-capable test missed a second request"
+            )
+
+    def _l2_burst(self, now, part, local, set2, write, mask=None) -> int:
+        """Run :func:`l2_burst` on the banks and add up its counters;
+        returns its contention count."""
+        (
+            loads,
+            stores,
+            load_hits,
+            store_hits,
+            fills,
+            evictions,
+            writebacks,
+            contentions,
+        ) = l2_burst(
+            self.l2,
+            self.config.l2_bank_sets,
+            now,
+            part,
+            local,
+            set2,
+            write,
+            self.l2_reuse,
+            mask,
+        )
+        self.l2_loads += loads
+        self.l2_stores += stores
+        self.l2_load_hits += load_hits
+        self.l2_store_hits += store_hits
+        self.l2_fills += fills
+        self.l2_evictions += evictions
+        self.l2_writebacks += writebacks
+        return contentions
 
     # ------------------------------------------------------------------
     # Reporting
@@ -1008,9 +1168,12 @@ def functional_replay(
     streams=None,
     arrays=None,
     scheduler: str = "lrr",
+    victim_share_factor: int = 1,
 ) -> ReplayResult:
     """One-shot functional replay; mirrors :func:`repro.sim.replay.replay`
     (which alone also offers an L1-only mode)."""
-    engine = FunctionalEngine(config, design, scheduler=scheduler)
+    engine = FunctionalEngine(
+        config, design, victim_share_factor, scheduler=scheduler
+    )
     engine.run(trace, streams=streams, arrays=arrays)
     return engine.result(benchmark=trace.name)

@@ -17,6 +17,7 @@ provide next-use oracles for :class:`~repro.cache.replacement.BeladyPolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import Cache
@@ -95,26 +96,16 @@ def _interleave_wave(warps, scheduler, coalescer, stream) -> None:
                 else:
                     i += 1
         return
-    # "lrr": round-robin one instruction per live warp per pass.  Track
-    # the live warps in an order-preserving list so finished warps drop
-    # out of the rotation instead of being re-scanned every pass.  This
-    # default path inlines Coalescer.coalesce (same shift/dedup, minus
-    # the per-warp call and statistics bumps — the coalescer object is
-    # discarded by build_core_streams, so its counters are unobservable).
+    # "lrr": round-robin one instruction per live warp per pass.  Pass k
+    # is row k of the warps zipped together; a finished warp pads its
+    # column with None, which the row walk skips.  This default path
+    # inlines Coalescer.coalesce (same shift/dedup, minus the per-warp
+    # call and statistics bumps — the coalescer object is discarded by
+    # build_core_streams, so its counters are unobservable).
     shift = coalescer._shift
     max_lanes = coalescer.max_lanes
-    pcs = [0] * len(warps)
-    order = [i for i, w in enumerate(warps) if w]
-    while order:
-        nxt = []
-        for i in order:
-            warp = warps[i]
-            pc = pcs[i]
-            op, arg = warp[pc]
-            pc += 1
-            pcs[i] = pc
-            if pc < len(warp):
-                nxt.append(i)
+    for row in zip_longest(*warps):
+        for op, arg in filter(None, row):
             if op == OP_LOAD:
                 is_write = False
             elif op == OP_STORE:
@@ -126,6 +117,9 @@ def _interleave_wave(warps, scheduler, coalescer, stream) -> None:
                 raise ValueError(
                     f"warp presented {n} lanes, max is {max_lanes}"
                 )
+            if n == 1:
+                append((arg[0] >> shift, is_write))
+                continue
             if not n:
                 continue
             lines = [a >> shift for a in arg]
@@ -135,7 +129,6 @@ def _interleave_wave(warps, scheduler, coalescer, stream) -> None:
             else:
                 for line in dict.fromkeys(lines):
                     append((line, is_write))
-        order = nxt
 
 
 def build_core_streams(
@@ -216,6 +209,7 @@ def replay(
     oracle: bool = False,
     include_l2: bool = True,
     scheduler: str = "lrr",
+    victim_share_factor: int = 1,
 ) -> ReplayResult:
     """Replay a kernel through the cache hierarchy without timing.
 
@@ -228,6 +222,8 @@ def replay(
         include_l2: Model the shared L2 (needed for G-Cache hints).
         scheduler: Warp interleave used when building streams (ignored
             when ``streams`` is given).
+        victim_share_factor: ``S_v``, the L1s sharing one victim bit
+            (designs with victim-bit hints only).
     """
     if config is None:
         config = GPUConfig()
@@ -286,7 +282,9 @@ def replay(
             for b in range(config.num_partitions)
         ]
         if uses_victim_bits:
-            victim_dir = VictimBitDirectory(config.num_cores)
+            victim_dir = VictimBitDirectory(
+                config.num_cores, victim_share_factor
+            )
 
     addr_map = AddressMap(config.num_partitions, config.mc_interleave_lines)
 

@@ -63,6 +63,11 @@ Instruction = Tuple[int, object]
 #: One warp's instruction stream.
 WarpTrace = List[Instruction]
 
+#: Opcodes whose payload is a lane-address tuple, and those whose payload
+#: is an instruction count.
+_MEMORY_OPS = (OP_LOAD, OP_STORE, OP_ATOM)
+_COUNTED_OPS = (OP_ALU, OP_SMEM)
+
 
 def instruction_count(program: WarpTrace) -> int:
     """Number of dynamic instructions in a warp program.
@@ -139,33 +144,53 @@ class KernelTrace:
             yield from cta.warps
 
     def validate(self, max_lanes: int = 32) -> None:
-        """Sanity-check the trace; raises ``ValueError`` on malformed input."""
+        """Sanity-check the trace; raises ``ValueError`` on malformed input.
+
+        The same pass counts dynamic instructions and caches the count
+        for :meth:`instruction_count`.
+        """
         if not self.ctas:
             raise ValueError(f"kernel {self.name!r} has no CTAs")
+        total = 0
         for c, cta in enumerate(self.ctas):
             if not cta.warps:
                 raise ValueError(f"kernel {self.name!r} CTA {c} has no warps")
             for w, warp in enumerate(cta.warps):
-                for i, (op, arg) in enumerate(warp):
-                    if op in (OP_ALU, OP_SMEM):
-                        if not isinstance(arg, int) or arg < 1:
-                            raise ValueError(
-                                f"{self.name} cta{c} warp{w} instr{i}: "
-                                f"ALU/SMEM count must be a positive int, got {arg!r}"
-                            )
-                    elif op in (OP_LOAD, OP_STORE, OP_ATOM):
+                # One instruction each, plus count - 1 per ALU/SMEM group.
+                total += len(warp)
+                for op, arg in warp:
+                    if op in _MEMORY_OPS:
                         if not arg or len(arg) > max_lanes:
-                            raise ValueError(
-                                f"{self.name} cta{c} warp{w} instr{i}: "
-                                f"memory op needs 1..{max_lanes} lane addresses"
-                            )
-                    elif op == OP_BAR:
-                        pass
-                    else:
-                        raise ValueError(
-                            f"{self.name} cta{c} warp{w} instr{i}: "
-                            f"unknown opcode {op}"
-                        )
+                            self._reject(c, w, warp, max_lanes)
+                    elif op in _COUNTED_OPS:
+                        if not isinstance(arg, int) or arg < 1:
+                            self._reject(c, w, warp, max_lanes)
+                        total += arg - 1
+                    elif op != OP_BAR:
+                        self._reject(c, w, warp, max_lanes)
+        self.__dict__["_instruction_count"] = total
+
+    def _reject(self, c: int, w: int, warp: WarpTrace, max_lanes: int) -> None:
+        """Raise :meth:`validate`'s error for the first bad instruction of
+        warp ``w`` in CTA ``c``."""
+        for i, (op, arg) in enumerate(warp):
+            if op in _COUNTED_OPS:
+                if not isinstance(arg, int) or arg < 1:
+                    raise ValueError(
+                        f"{self.name} cta{c} warp{w} instr{i}: "
+                        f"ALU/SMEM count must be a positive int, got {arg!r}"
+                    )
+            elif op in _MEMORY_OPS:
+                if not arg or len(arg) > max_lanes:
+                    raise ValueError(
+                        f"{self.name} cta{c} warp{w} instr{i}: "
+                        f"memory op needs 1..{max_lanes} lane addresses"
+                    )
+            elif op != OP_BAR:
+                raise ValueError(
+                    f"{self.name} cta{c} warp{w} instr{i}: "
+                    f"unknown opcode {op}"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -55,6 +55,13 @@ def _design(key: str) -> DesignSpec:
     if key == "gc-fast-shutdown":
         # Frequent periodic switch shutdowns: exercises the tick engine.
         return make_design("gc", gcache_config=GCacheConfig(shutdown_interval=64))
+    if key == "gc-tick-only":
+        # G-Cache's policy without victim bits: the periodic tick alone
+        # puts it on the miss-heap route, where no load carries a hint.
+        return replace(
+            _design("gc-fast-shutdown"), key="gc-tick-only",
+            uses_victim_bits=False,
+        )
     if key == "gc-m-small-epoch":
         # Tight adaptation epoch: exercises the M-counter state machine.
         return make_design(
@@ -76,6 +83,7 @@ def _design(key: str) -> DesignSpec:
 
 ALL_DESIGNS = tuple(DESIGN_KEYS) + (
     "gc-fast-shutdown",
+    "gc-tick-only",
     "gc-m-small-epoch",
     "pdp-small-epoch",
 )
@@ -84,10 +92,18 @@ ALL_DESIGNS = tuple(DESIGN_KEYS) + (
 FAMILY_DESIGNS = ("bs", "bs-s", "pdp-3", "spdp-b", "gc", "dbp")
 
 
-def assert_equivalent(trace, config, design, scheduler="lrr"):
+def assert_equivalent(
+    trace, config, design, scheduler="lrr", victim_share_factor=1
+):
     """Replay both backends and assert every observable counter matches."""
-    oracle = replay(trace, config, design, scheduler=scheduler)
-    fast = functional_replay(trace, config, design, scheduler=scheduler)
+    oracle = replay(
+        trace, config, design, scheduler=scheduler,
+        victim_share_factor=victim_share_factor,
+    )
+    fast = functional_replay(
+        trace, config, design, scheduler=scheduler,
+        victim_share_factor=victim_share_factor,
+    )
     assert fast.l1.snapshot() == oracle.l1.snapshot()
     assert fast.l2.snapshot() == oracle.l2.snapshot()
     assert fast.l1.reuse.as_dict() == oracle.l1.reuse.as_dict()
@@ -137,6 +153,28 @@ def test_design_matches_oracle_bfs(key, bfs_trace, config):
     assert_equivalent(bfs_trace, config, _design(key))
 
 
+#: Victim-bit share factors ``S_v`` > 1: a sibling core's first load of a
+#: line sets the group's bit, so the next core's first load can carry a
+#: hint.
+SHARE_FACTORS = (2, 4)
+
+
+@pytest.mark.parametrize("share", SHARE_FACTORS)
+@pytest.mark.parametrize("key", ("gc", "gc-m"))
+def test_share_factor_matches_oracle_spmv(key, share, spmv_trace, config):
+    assert_equivalent(
+        spmv_trace, config, _design(key), victim_share_factor=share
+    )
+
+
+@pytest.mark.parametrize("share", SHARE_FACTORS)
+@pytest.mark.parametrize("key", ("gc", "gc-m"))
+def test_share_factor_matches_oracle_bfs(key, share, bfs_trace, config):
+    assert_equivalent(
+        bfs_trace, config, _design(key), victim_share_factor=share
+    )
+
+
 @pytest.mark.parametrize("key", DESIGN_KEYS)
 def test_engine_drives_the_designs_own_policies(key, config):
     """The functional backend keeps no policy copies: each core runs a
@@ -172,6 +210,48 @@ def test_profile_splits_burst_and_scalar_only(key, config):
     assert set(engine.phase_seconds) == {"burst", "probe", "scalar_event"}
     assert engine.phase_seconds["probe"] == 0.0
     assert engine.phase_seconds["scalar_event"] > 0
+
+
+def test_hint_free_gc_bursts_its_l2(config):
+    """FFT raises no victim hint, so every G-Cache load miss is its
+    core's first load of the line: all of them fill inline and their L2
+    loads replay in the drain-end burst."""
+    trace = build_benchmark("FFT", scale=0.15, seed=0)
+    engine = FunctionalEngine(config, _design("gc"), profile=True)
+    engine.run(trace)
+    assert engine.phase_seconds["burst"] > 0
+    assert engine.contentions_detected == 0
+    fast = engine.result(benchmark=trace.name)
+    oracle = replay(trace, config, _design("gc"))
+    assert fast.l1.snapshot() == oracle.l1.snapshot()
+    assert fast.l2.snapshot() == oracle.l2.snapshot()
+    assert fast.l2.reuse.as_dict() == oracle.l2.reuse.as_dict()
+    assert fast.extras == oracle.extras == {"contentions_detected": 0}
+
+
+def test_warm_gc_sequence_rehints_resident_lines(config):
+    """A second run of the same SPMV kernel on one engine re-misses
+    lines the first left in L2 with their victim bits set, so its first
+    loads of those lines carry hints.  Counters pinned from the engine
+    that sent every load miss through the heap."""
+    trace = build_benchmark("SPMV", scale=0.03, seed=7)
+    engine = FunctionalEngine(config, _design("gc"))
+    engine.run(trace)
+    assert engine.contentions_detected == 428
+    engine.run(trace)
+    assert engine.contentions_detected == 4150
+    result = engine.result()
+    fields = ("loads", "stores", "hits", "fills", "bypasses", "evictions",
+              "writebacks")
+    assert {f: result.l1.snapshot()[f] for f in fields} == {
+        "loads": 16170, "stores": 2048, "hits": 7277, "fills": 6064,
+        "bypasses": 2829, "evictions": 4016, "writebacks": 0,
+    }
+    assert {f: result.l2.snapshot()[f] for f in fields} == {
+        "loads": 8893, "stores": 2048, "hits": 7236, "fills": 3705,
+        "bypasses": 0, "evictions": 0, "writebacks": 0,
+    }
+    assert (result.l2.load_hits, result.l2.store_hits) == (6212, 1024)
 
 
 class _TickingPDP(DynamicPDPPolicy):
@@ -221,6 +301,8 @@ GEOMETRIES = {
     "narrow-lines": dict(line_size=64),
     "few-partitions": dict(num_partitions=2, mc_interleave_lines=4),
     "few-cores": dict(num_cores=4),
+    # 64 victim-bit groups: the top bit no longer fits a signed int64.
+    "many-cores": dict(num_cores=64),
     "small-l2": dict(l2_bank_size=64 * 1024),
 }
 
@@ -444,9 +526,12 @@ def burst_adversarial_kernels(draw):
 
 #: The designs that exercise each replay route: full L1+L2 bursts
 #: (bs, bs-s), scalar walk + L2 burst with hit hooks skipped (dbp) and
-#: with every hook called per access (pdp-3, spdp-b), and the load-miss
-#: heap with deferred store flushes (gc, gc-m).
-BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m")
+#: with every hook called per access (pdp-3, spdp-b), and the miss heap
+#: with parked stores and first-load misses (gc, gc-m), with periodic
+#: ticks interleaved between inline first-load fills (gc-fast-shutdown).
+BURST_PATH_DESIGNS = (
+    "bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m", "gc-fast-shutdown",
+)
 
 #: The miss heap's seed walks at their edges: core 1's stream is stores
 #: only (no load miss, so its first walk runs off the end with stores
@@ -474,6 +559,16 @@ SEED_WALK_EDGES = KernelTrace(
 @example(trace=SEED_WALK_EDGES)
 def test_burst_adversarial_match_oracle(key, trace):
     assert_equivalent(trace, ADV_CONFIG, _design(key))
+
+
+@pytest.mark.parametrize("share", SHARE_FACTORS)
+@pytest.mark.parametrize("key", ("gc", "gc-m"))
+@settings(max_examples=10, deadline=None)
+@given(trace=burst_adversarial_kernels())
+def test_burst_adversarial_share_factor_match_oracle(key, share, trace):
+    assert_equivalent(
+        trace, ADV_CONFIG, _design(key), victim_share_factor=share
+    )
 
 
 @settings(max_examples=8, deadline=None)

@@ -6,7 +6,7 @@ from repro.sim.designs import make_design
 from repro.sim.replay import build_core_streams, replay
 from repro.trace.suite import build_benchmark
 
-from conftest import alu, ld, make_kernel, st
+from conftest import addr, alu, ld, make_kernel, st
 
 
 class TestStreamBuilding:
@@ -35,6 +35,50 @@ class TestStreamBuilding:
         kernel = make_kernel([[alu(5), bar(), smem(2)]], ctas=1)
         streams = build_core_streams(kernel, tiny_config)
         assert sum(len(s) for s in streams) == 0
+
+    def test_lrr_takes_one_instruction_per_live_warp_per_pass(
+        self, tiny_config
+    ):
+        """Ragged warps, an empty warp, ALU gaps, single-lane, uniform
+        and divergent multi-lane accesses: the lrr stream equals a plain
+        pass-by-pass round robin through ``Coalescer.coalesce``."""
+        from repro.gpu.coalescer import Coalescer
+        from repro.trace.trace import CTATrace, KernelTrace, OP_LOAD, OP_STORE
+
+        warps = [
+            [ld(0), alu(2), st(3), ld(5)],
+            [],
+            [(OP_LOAD, (addr(1), addr(1) + 4, addr(2), addr(1) + 8))],
+            [alu(1), (OP_LOAD, (addr(7), addr(7) + 4)), st(0), alu(1),
+             ld(9), st(9)],
+        ]
+        kernel = KernelTrace(name="lrr", ctas=[CTATrace(warps=warps)])
+        coalescer = Coalescer(tiny_config.line_size, tiny_config.simt_width)
+        expected = []
+        for k in range(max(len(w) for w in warps)):
+            for warp in warps:
+                if k < len(warp) and warp[k][0] in (OP_LOAD, OP_STORE):
+                    op, arg = warp[k]
+                    expected += [
+                        (line, op == OP_STORE)
+                        for line in coalescer.coalesce(arg)
+                    ]
+        streams = build_core_streams(kernel, tiny_config)
+        assert streams[0] == expected
+        assert streams[0][:3] == [(0, False), (1, False), (2, False)]
+
+    def test_lrr_rejects_too_many_lanes(self, tiny_config):
+        from repro.trace.trace import CTATrace, KernelTrace, OP_LOAD
+
+        lanes = tiny_config.simt_width + 1
+        kernel = KernelTrace(name="wide", ctas=[CTATrace(warps=[
+            [ld(0)], [(OP_LOAD, tuple(range(lanes)))],
+        ])])
+        with pytest.raises(ValueError) as err:
+            build_core_streams(kernel, tiny_config)
+        assert str(err.value) == (
+            f"warp presented {lanes} lanes, max is {tiny_config.simt_width}"
+        )
 
 
 class TestReplay:

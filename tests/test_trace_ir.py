@@ -66,3 +66,40 @@ class TestValidation:
     def test_unknown_opcode(self):
         with pytest.raises(ValueError, match="unknown opcode"):
             simple_kernel([[(99, 0)]]).validate()
+
+    def test_validate_counts_instructions(self):
+        programs = [
+            [(OP_ALU, 3), (OP_LOAD, (0, 128)), (OP_SMEM, 2), (OP_BAR, 0)],
+            [(OP_STORE, (0,)), (OP_ALU, 1)],
+        ]
+        kernel = simple_kernel(programs)
+        kernel.validate()
+        assert kernel.__dict__["_instruction_count"] == 9
+        assert kernel.instruction_count() == sum(
+            instruction_count(p) for p in programs
+        )
+
+    def test_failed_validation_caches_no_count(self):
+        kernel = simple_kernel([[(OP_ALU, 2), (OP_ALU, 0)]])
+        with pytest.raises(ValueError):
+            kernel.validate()
+        assert "_instruction_count" not in kernel.__dict__
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((OP_SMEM, 1.5), "ALU/SMEM count must be a positive int, got 1.5"),
+            ((OP_STORE, tuple(range(33))),
+             "memory op needs 1..32 lane addresses"),
+            ((7, 0), "unknown opcode 7"),
+        ],
+    )
+    def test_error_names_the_first_bad_instruction(self, bad, message):
+        good = [(OP_ALU, 1), (OP_LOAD, (0,))]
+        kernel = KernelTrace(name="k", ctas=[
+            CTATrace(warps=[list(good)]),
+            CTATrace(warps=[list(good), good + [bad, (99, 0)]]),
+        ])
+        with pytest.raises(ValueError) as err:
+            kernel.validate()
+        assert str(err.value) == f"k cta1 warp1 instr2: {message}"
