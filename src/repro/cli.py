@@ -19,13 +19,6 @@ Subcommands:
   workload space through the functional backend and report where each
   design wins/loses (``scenario sweep``), or print the primitive
   registry reference (``scenario primitives``).
-* ``serve`` — run the simulation-as-a-service daemon: an asyncio
-  HTTP/JSON front end multiplexing many client campaigns onto the
-  shared engine/cache stack with cross-job request coalescing.
-* ``submit`` — submit a campaign to a running daemon (``--follow``
-  streams its progress events).
-* ``jobs`` — list daemon jobs, inspect/pause/resume/cancel one, or
-  print service ``--stats``.
 * ``list`` — enumerate benchmarks and designs.
 
 Examples::
@@ -50,12 +43,6 @@ Examples::
     python -m repro scenario primitives
     python -m repro analyze ledger perf.jsonl --append-bench BENCH_4.json
     python -m repro analyze ledger perf.jsonl --check --suite perf-gate
-    python -m repro serve --port 8753 --cache-dir ~/.cache/repro \\
-        --state-dir ~/.local/state/repro
-    python -m repro submit --benchmarks SPMV,KMN --designs bs,gc --follow
-    python -m repro jobs                      # list
-    python -m repro jobs j-1a2b3c4d --cancel  # control one job
-    python -m repro jobs --stats              # coalescing + cache counters
 
 ``campaign`` and ``compare`` are fault-tolerant: per-task retries with
 exponential backoff (``--retries``), hung-worker reclamation
@@ -708,103 +695,6 @@ def cmd_scenario_primitives(_: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import CampaignDaemon
-
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    daemon = CampaignDaemon(
-        host=args.host,
-        port=args.port,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        state_dir=str(args.state_dir) if args.state_dir else None,
-        engine_jobs=args.engine_jobs,
-    )
-    try:
-        daemon.run()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    keys = [_design_key(k) for k in args.designs.split(",") if k.strip()]
-    benches = (
-        [b.strip().upper() for b in args.benchmarks.split(",") if b.strip()] or None
-    )
-    spec = {
-        "benchmarks": benches,
-        "designs": keys,
-        "scale": args.scale,
-        "seed": args.seed,
-        "fidelity": args.fidelity,
-        "l1_size": args.l1_size,
-        "scheduler": args.scheduler,
-        "retries": args.retries,
-        "task_timeout": args.task_timeout,
-        "keep_going": args.keep_going,
-    }
-    client = ServiceClient(args.host, args.port)
-    try:
-        snap = client.submit(spec)
-        job_id = snap["id"]
-        print(f"submitted {job_id} ({snap['state']})")
-        if args.follow:
-            for event in client.events(job_id):
-                print(json.dumps(event, sort_keys=True))
-        if args.follow or args.wait:
-            final = client.wait(job_id, timeout=args.wait_timeout)
-            print(f"{job_id}: {final['state']}"
-                  + (f" ({final['error']})" if final.get("error") else ""))
-            return 0 if final["state"] == "completed" else 1
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.host, args.port)
-    try:
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.job_id is None:
-            jobs = client.jobs()
-            if not jobs:
-                print("no jobs")
-                return 0
-            for snap in jobs:
-                counters = snap.get("counters", {})
-                flags = " [paused]" if snap.get("paused") else ""
-                print(f"{snap['id']}  {snap['state']:<9}{flags}  "
-                      f"tasks={counters.get('tasks', 0)} "
-                      f"executed={counters.get('executed', 0)} "
-                      f"hits={counters.get('cache_hits', 0)} "
-                      f"coalesced={counters.get('coalesced', 0)}")
-            return 0
-        action = ("cancel" if args.cancel else "pause" if args.pause
-                  else "resume" if args.resume else None)
-        if action is not None:
-            snap = getattr(client, action)(args.job_id)
-            print(f"{snap['id']}: {action} requested (state: {snap['state']})")
-            return 0
-        if args.follow:
-            for event in client.events(args.job_id):
-                print(json.dumps(event, sort_keys=True))
-            snap = client.job(args.job_id)
-        else:
-            snap = client.job(args.job_id)
-        print(json.dumps(snap, indent=2, sort_keys=True))
-        return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -925,67 +815,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "primitives",
         help="print the registered primitives and their parameter schema")
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the simulation service daemon (HTTP/JSON on localhost)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1",
-                              help="bind address (loopback only: no auth)")
-    serve_parser.add_argument("--port", type=int, default=8753,
-                              help="TCP port (0 = pick a free one)")
-    serve_parser.add_argument("--cache-dir", type=Path, default=None,
-                              help="shared result-cache directory "
-                                   "(default: $REPRO_CACHE_DIR, else none)")
-    serve_parser.add_argument("--state-dir", type=Path, default=None,
-                              help="job spec/journal/manifest directory; "
-                                   "enables crash recovery across restarts")
-    serve_parser.add_argument("--engine-jobs", type=int, default=1,
-                              help="worker processes per job engine "
-                                   "(default 1: jobs run serially, the "
-                                   "daemon parallelises across jobs)")
-
-    def _add_client_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1", help="daemon host")
-        p.add_argument("--port", type=int, default=8753, help="daemon port")
-
-    submit_parser = sub.add_parser(
-        "submit", help="submit a campaign to a running repro daemon"
-    )
-    _add_client_flags(submit_parser)
-    _add_knobs(submit_parser)
-    submit_parser.add_argument("--benchmarks", default="",
-                               help="comma-separated subset (default: all 17)")
-    submit_parser.add_argument("--designs", default="bs,bs-s,spdp-b,gc")
-    _add_fidelity(submit_parser)
-    submit_parser.add_argument("--retries", type=int, default=2)
-    submit_parser.add_argument("--task-timeout", type=float, default=None,
-                               metavar="SECONDS")
-    submit_parser.add_argument("--keep-going", action="store_true")
-    submit_parser.add_argument("--follow", action="store_true",
-                               help="stream the job's NDJSON progress events "
-                                    "until it finishes")
-    submit_parser.add_argument("--wait", action="store_true",
-                               help="block until the job reaches a terminal "
-                                    "state (exit 1 unless completed)")
-    submit_parser.add_argument("--wait-timeout", type=float, default=None,
-                               metavar="SECONDS")
-
-    jobs_parser = sub.add_parser(
-        "jobs", help="list/inspect/control jobs on a running repro daemon"
-    )
-    _add_client_flags(jobs_parser)
-    jobs_parser.add_argument("job_id", nargs="?", default=None,
-                             help="job to inspect or act on (default: list all)")
-    jobs_group = jobs_parser.add_mutually_exclusive_group()
-    jobs_group.add_argument("--cancel", action="store_true")
-    jobs_group.add_argument("--pause", action="store_true")
-    jobs_group.add_argument("--resume", action="store_true")
-    jobs_group.add_argument("--follow", action="store_true",
-                            help="stream the job's progress events")
-    jobs_group.add_argument("--stats", action="store_true",
-                            help="print service-wide stats (coalescing, "
-                                 "cache counters, job states)")
-
     ana_parser = sub.add_parser(
         "analyze",
         help="cross-campaign analysis: manifest diffs and the perf ledger",
@@ -1061,12 +890,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.scenario_command == "sweep":
             return cmd_scenario_sweep(args)
         return cmd_scenario_primitives(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "submit":
-        return cmd_submit(args)
-    if args.command == "jobs":
-        return cmd_jobs(args)
     if args.command == "analyze":
         if args.analyze_command == "compare":
             return cmd_analyze_compare(args)

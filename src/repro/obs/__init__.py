@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     collect_run_metrics,
 )
 from repro.obs.sinks import (
-    CallbackSink,
     JSONLSink,
     PerfettoSink,
     RingBufferSink,
@@ -58,7 +57,6 @@ __all__ = [
     "RingBufferSink",
     "JSONLSink",
     "PerfettoSink",
-    "CallbackSink",
     "validate_trace_event_json",
     "MetricsRegistry",
     "CounterMetric",

@@ -11,46 +11,11 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.obs.events import EV_CTA_DONE, EV_CTA_LAUNCH, Event
 
-__all__ = ["RingBufferSink", "JSONLSink", "PerfettoSink", "CallbackSink"]
-
-
-class CallbackSink:
-    """Forwards every event to a callable; the bridge primitive.
-
-    Lets a bus feed anything with a ``dict``-shaped inbox — e.g. a
-    :class:`repro.service.events.JobEventBroker`, whose subscribers then
-    see simulated-hardware events interleaved with service progress::
-
-        bus.attach(CallbackSink(broker.publish, wrap="obs_event"))
-
-    Callback exceptions are counted and swallowed: a broken consumer
-    must not take the simulation down with it.
-    """
-
-    def __init__(self, callback, wrap: Optional[str] = None) -> None:
-        if not callable(callback):
-            raise TypeError(f"callback must be callable, got {type(callback).__name__}")
-        self.callback = callback
-        self.wrap = wrap
-        self.events_written = 0
-        self.errors = 0
-
-    def write(self, event: Event) -> None:
-        payload = event.as_dict()
-        if self.wrap is not None:
-            payload = {"event": self.wrap, **payload}
-        try:
-            self.callback(payload)
-            self.events_written += 1
-        except Exception:  # noqa: BLE001 - consumer isolation boundary
-            self.errors += 1
-
-    def close(self) -> None:
-        pass
+__all__ = ["RingBufferSink", "JSONLSink", "PerfettoSink"]
 
 
 class RingBufferSink:

@@ -11,8 +11,11 @@ incrementally re-runnable:
   corruption-tolerant reads;
 * :class:`CampaignEngine` — fans task batches out over a process pool
   (``jobs=1`` = serial fallback), probes/fills the cache, and emits a
-  per-run manifest with wall-time and hit/miss counters.  Execution is
-  fault-tolerant: bounded retries with exponential backoff, per-task
+  per-run manifest with wall-time and hit/miss counters.  It is the
+  batch engine behind ``repro campaign``, ``repro scenario sweep`` and
+  the figure pipeline; a batch runs to completion on the calling
+  thread, and separate runs share only the cache and the journal.
+  Execution is fault-tolerant: bounded retries with exponential backoff, per-task
   timeouts with hung-worker reclamation, worker-crash pool rebuilds,
   checksum quarantine of rotten cache entries, and a crash-safe
   :class:`CampaignJournal` that makes interrupted campaigns resumable
@@ -48,14 +51,11 @@ from repro.runner.cache import (
     default_salt,
     stable_hash,
 )
-from repro.runner.coalesce import InflightRegistry
 from repro.runner.engine import (
     FAILED,
     MANIFEST_SCHEMA_VERSION,
-    CampaignCancelled,
     CampaignEngine,
     CampaignTaskError,
-    EngineControl,
     git_commit,
     run_campaign,
 )
@@ -69,12 +69,9 @@ __all__ = [
     "MISS",
     "PD_SWEEP",
     "QUARANTINE_DIR",
-    "CampaignCancelled",
     "CampaignEngine",
     "CampaignJournal",
     "CampaignTaskError",
-    "EngineControl",
-    "InflightRegistry",
     "JournalLockedError",
     "ResultCache",
     "Task",

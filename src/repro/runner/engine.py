@@ -27,6 +27,10 @@ objects it
 
 and returns payloads aligned with the submitted batch.
 
+An engine runs one batch at a time on the calling thread, and nothing
+outside it pauses, cancels or observes a batch.  Separate runs share
+only what they leave on disk: the result cache and the journal.
+
 Within a group the design-independent inputs — the trace and, for
 functional simulations, its coalesced column arrays — are built once
 (:class:`~repro.runner.task.SharedInputs`) and only read afterwards.
@@ -65,14 +69,12 @@ import dataclasses
 import json
 import os
 import tempfile
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -84,7 +86,6 @@ from typing import (
 
 from repro.faults import FaultPlan, corrupt_file
 from repro.runner.cache import MISS, ResultCache, default_salt, stable_hash
-from repro.runner.coalesce import InflightEntry, InflightRegistry
 from repro.runner.journal import CampaignJournal
 from repro.runner.task import SharedInputs, Task, run_task_armed
 from repro.stats.campaign import CampaignCounters, TaskTiming
@@ -92,10 +93,8 @@ from repro.stats.campaign import CampaignCounters, TaskTiming
 __all__ = [
     "FAILED",
     "MANIFEST_SCHEMA_VERSION",
-    "CampaignCancelled",
     "CampaignEngine",
     "CampaignTaskError",
-    "EngineControl",
     "git_commit",
     "run_campaign",
 ]
@@ -175,66 +174,6 @@ class CampaignTaskError(RuntimeError):
         )
 
 
-class CampaignCancelled(RuntimeError):
-    """The engine's :class:`EngineControl` was cancelled mid-campaign.
-
-    Completed tasks stay cached and journaled; the batch's remaining
-    tasks never execute.  Raised out of :meth:`CampaignEngine.run`.
-    """
-
-
-class EngineControl:
-    """Thread-safe pause/resume/cancel switchboard for a running engine.
-
-    Built for the service daemon (one control per job, poked from the
-    asyncio front end while the engine runs in a worker thread), but
-    usable by any harness that drives an engine from another thread.
-    Pause takes effect at task boundaries: in-flight attempts finish,
-    no new attempt starts until :meth:`resume`.  Cancel unwinds the
-    engine with :class:`CampaignCancelled` (a paused engine wakes up to
-    be cancelled).
-    """
-
-    def __init__(self) -> None:
-        self._resume = threading.Event()
-        self._resume.set()
-        self._cancel = threading.Event()
-
-    def pause(self) -> None:
-        self._resume.clear()
-
-    def resume(self) -> None:
-        self._resume.set()
-
-    def cancel(self) -> None:
-        self._cancel.set()
-        self._resume.set()  # wake anyone parked in checkpoint()
-
-    @property
-    def paused(self) -> bool:
-        return not self._resume.is_set() and not self._cancel.is_set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    def checkpoint(self, timeout: Optional[float] = None) -> None:
-        """Block while paused; raise :class:`CampaignCancelled` on cancel.
-
-        With ``timeout`` the wait is bounded (the pool loop polls so it
-        can keep reaping in-flight futures while paused).
-        """
-        if self._cancel.is_set():
-            raise CampaignCancelled("campaign cancelled")
-        self._resume.wait(timeout)
-        if self._cancel.is_set():
-            raise CampaignCancelled("campaign cancelled")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else ("paused" if self.paused else "running")
-        return f"<EngineControl {state}>"
-
-
 class _PoolReset(Exception):
     """Internal: unwind the pool loop to kill and rebuild the pool."""
 
@@ -299,22 +238,17 @@ def _units(
 
 
 def _run_group(
-    work: Sequence[Tuple[Task, str, int]],
-    plan: Optional[FaultPlan],
-    before: Optional[Callable[[int], None]] = None,
+    work: Sequence[Tuple[Task, str, int]], plan: Optional[FaultPlan]
 ) -> Iterator[_Outcome]:
     """Run one trace group's ``(task, key, attempt)`` triples in order.
 
     Every task gets the group's one :class:`SharedInputs`; each attempt
     goes through :func:`run_task_armed` (looked up at call time, so
     harnesses can wrap it), and a failing task does not stop its
-    siblings.  Yields one :data:`_Outcome` per task as it finishes;
-    ``before(i)`` runs ahead of the ``i``-th attempt.
+    siblings.  Yields one :data:`_Outcome` per task as it finishes.
     """
     shared = SharedInputs()
-    for i, (task, key, attempt) in enumerate(work):
-        if before is not None:
-            before(i)
+    for task, key, attempt in work:
         try:
             payload, seconds = run_task_armed(
                 dataclasses.replace(task, shared=shared), key, attempt, plan
@@ -367,6 +301,10 @@ def _task_fields(task: Task) -> Dict[str, Optional[str]]:
 class CampaignEngine:
     """Executes campaign tasks in parallel, behind the persistent cache.
 
+    ``repro campaign``, ``repro scenario sweep`` and the figure pipeline
+    (:class:`~repro.experiments.common.EvalSuite`) all drive this class;
+    each run's record is :meth:`manifest`.
+
     Args:
         jobs: Worker process count; ``None`` means ``os.cpu_count()``,
             ``1`` forces fully serial in-process execution.
@@ -401,22 +339,6 @@ class CampaignEngine:
         manifest_path: When set, an interrupt (Ctrl-C) writes a partial
             manifest here, marked ``"interrupted": true``, before the
             ``KeyboardInterrupt`` propagates.
-        control: Optional :class:`EngineControl` — lets another thread
-            pause/resume the engine at task boundaries or cancel the
-            campaign (:class:`CampaignCancelled`).
-        progress: Optional callback receiving one plain-dict event per
-            task transition (``task_started`` / ``task_retried`` /
-            ``task_failed`` / ``task_completed``); exceptions it raises
-            are swallowed.  The service daemon bridges these to its
-            subscribers.
-        inflight: Optional :class:`~repro.runner.coalesce.InflightRegistry`
-            shared with other engines in this process.  Cache misses
-            whose key another engine is already executing *follow* that
-            execution instead of recomputing (a coalesced hit); keys
-            this engine executes are published for others.
-        client: Stable identifier for this engine in the shared
-            registry (defaults to an id-derived token); surfaces in
-            service stats and debugging.
     """
 
     def __init__(
@@ -434,10 +356,6 @@ class CampaignEngine:
         resume: bool = False,
         faults: Optional[FaultPlan] = None,
         manifest_path: Optional[Union[str, os.PathLike]] = None,
-        control: Optional[EngineControl] = None,
-        progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-        inflight: Optional[InflightRegistry] = None,
-        client: Optional[str] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -461,18 +379,12 @@ class CampaignEngine:
         self.resume = resume
         self.faults = faults
         self.manifest_path = Path(manifest_path) if manifest_path is not None else None
-        self.control = control
-        self.progress = progress
-        self.inflight = inflight
-        self.client = client if client is not None else f"engine-{id(self):x}"
         self.counters = CampaignCounters()
         #: Final :class:`CampaignTaskError` per exhausted task (keep_going).
         self.failures: List[CampaignTaskError] = []
         self.interrupted = False
-        self.cancelled = False
         self._journaled_keys: Dict[str, Dict[str, Any]] = {}
         self._completions = 0  # executed completions (interrupt_after hook)
-        self._claims: Dict[str, InflightEntry] = {}  # keys this engine leads
         if self.resume:
             self._journaled_keys = self.journal.load()
             self.journal.seen(self._journaled_keys)
@@ -492,9 +404,6 @@ class CampaignEngine:
             return self._run(tasks)
         except KeyboardInterrupt:
             self._on_interrupt()
-            raise
-        except CampaignCancelled:
-            self._on_cancel()
             raise
         finally:
             # Release the journal's single-writer lock between batches:
@@ -535,50 +444,10 @@ class CampaignEngine:
                 queued.add(key)
 
         if pending:
-            self._execute_pending(pending, pending_keys, payloads)
+            self._dispatch(pending, pending_keys, payloads)
 
         self.counters.elapsed_seconds += time.perf_counter() - t0
         return [payloads[key] for key in keys]
-
-    def _execute_pending(
-        self, pending: List[Task], pending_keys: List[str], payloads: Dict[str, Any]
-    ) -> None:
-        """Execute cache misses, coalescing with other engines when shared.
-
-        Without a shared :class:`InflightRegistry` every miss executes
-        here.  With one, each key is claimed first: claimed keys (this
-        engine leads) execute locally and publish their payloads; keys
-        another engine already leads are *followed* — we block on the
-        leader's publication instead of recomputing.  Owned work always
-        runs before any follow-wait, so two engines leading disjoint
-        halves of the same batch can never deadlock on each other.
-        """
-        if self.inflight is None:
-            self._dispatch(pending, pending_keys, payloads)
-            return
-        owned: List[Task] = []
-        owned_keys: List[str] = []
-        followed: List[Tuple[Task, str, InflightEntry]] = []
-        try:
-            for task, key in zip(pending, pending_keys):
-                leader, entry = self.inflight.claim(key, self.client)
-                if leader:
-                    self._claims[key] = entry
-                    owned.append(task)
-                    owned_keys.append(key)
-                else:
-                    followed.append((task, key, entry))
-            if owned:
-                self._dispatch(owned, owned_keys, payloads)
-            for task, key, entry in followed:
-                self._follow(task, key, entry, payloads)
-        finally:
-            # Claims still unpublished here unwound abnormally (cancel,
-            # interrupt, first-failure raise): wake their followers so
-            # one of them re-claims and executes for itself.
-            for key, entry in list(self._claims.items()):
-                self.inflight.abandon(entry, "leader aborted without publishing")
-                del self._claims[key]
 
     def _dispatch(
         self, pending: List[Task], pending_keys: List[str], payloads: Dict[str, Any]
@@ -588,40 +457,6 @@ class CampaignEngine:
         else:
             self._run_pool(pending, pending_keys, payloads)
 
-    def _follow(
-        self, task: Task, key: str, entry: InflightEntry, payloads: Dict[str, Any]
-    ) -> None:
-        """Wait for another engine's execution of ``key`` and share it.
-
-        A leader that fails (or unwinds without publishing) does not
-        poison this engine: the follower re-claims the key and executes
-        with its own retry budget, or follows whichever engine beat it
-        to the re-claim.
-        """
-        while True:
-            self._await_entry(entry)
-            if entry.succeeded:
-                payload = entry.payload
-                payloads[key] = payload
-                self._record_done(
-                    TaskTiming(label=task.label, key=key, cached=False,
-                               coalesced=True, seconds=0.0,
-                               metrics=_payload_metrics(payload),
-                               fidelity=task.fidelity, **_task_fields(task))
-                )
-                return
-            leader, entry = self.inflight.claim(key, self.client)
-            if leader:
-                self._claims[key] = entry
-                self._dispatch([task], [key], payloads)
-                return
-
-    def _await_entry(self, entry: InflightEntry) -> None:
-        """Block until ``entry`` publishes, staying cancellable."""
-        while not entry.event.wait(_POLL_TICK):
-            if self.control is not None and self.control.cancelled:
-                raise CampaignCancelled("campaign cancelled while coalescing")
-
     # -- serial path ----------------------------------------------------
     def _run_serial(
         self, pending: List[Task], pending_keys: List[str], payloads: Dict[str, Any]
@@ -629,7 +464,8 @@ class CampaignEngine:
         """Run each group in-process, settling every task as it finishes.
 
         A group's failed tasks retry after the group, each as a group of
-        one, so at most one group's inputs are alive at a time.
+        one once its backoff has passed, so at most one group's inputs
+        are alive at a time.
         """
         for group in _units(
             [_TaskState(task, key) for task, key in zip(pending, pending_keys)]
@@ -637,23 +473,16 @@ class CampaignEngine:
             self._run_serial_group(group, payloads)
             for state in group:
                 while not state.done:
+                    delay = state.not_before - time.monotonic()
+                    if delay > 0:
+                        time.sleep(delay)
                     self._run_serial_group([state], payloads)
 
     def _run_serial_group(
         self, group: List[_TaskState], payloads: Dict[str, Any]
     ) -> None:
-        def before(i: int) -> None:
-            state = group[i]
-            if self.control is not None:
-                self.control.checkpoint()  # parks while paused
-            delay = state.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            self._emit("task_started", label=state.task.label, key=state.key,
-                       attempt=state.attempt)
-
         work = [(s.task, s.key, s.attempt) for s in group]
-        for state, outcome in zip(group, _run_group(work, self.faults, before)):
+        for state, outcome in zip(group, _run_group(work, self.faults)):
             self._settle(state, outcome, payloads)
 
     # -- pool path ------------------------------------------------------
@@ -749,14 +578,9 @@ class CampaignEngine:
         started: Dict[Any, float],
     ) -> None:
         while True:
-            paused = False
-            if self.control is not None:
-                if self.control.cancelled:
-                    raise CampaignCancelled("campaign cancelled")
-                paused = self.control.paused
             now = time.monotonic()
             busy = {key for keys in inflight.values() for key in keys}
-            ready = [] if paused else [
+            ready = [
                 s for s in states.values()
                 if not s.done and s.key not in busy and s.not_before <= now
             ]
@@ -765,9 +589,6 @@ class CampaignEngine:
             # starts on a unit a worker is free to run.  The rest wait
             # here.
             for group in _units(ready, share)[: workers - len(inflight)]:
-                for state in group:
-                    self._emit("task_started", label=state.task.label,
-                               key=state.key, attempt=state.attempt)
                 future = pool.submit(
                     _run_group_worker,
                     [(s.task, s.key, s.attempt) for s in group],
@@ -775,24 +596,17 @@ class CampaignEngine:
                 )
                 inflight[future] = [s.key for s in group]
             if not inflight:
-                if paused:
-                    # Nothing in flight and submissions held: park until
-                    # resume/cancel (bounded waits keep cancel prompt).
-                    self.control.checkpoint(_POLL_TICK)
-                    continue
                 waiting = [s.not_before for s in states.values() if not s.done]
                 if not waiting:
                     return  # batch complete
                 time.sleep(max(0.0, min(waiting) - time.monotonic()))
                 continue
 
-            # Poll when a deadline, a backoff or an external control
-            # needs watching; block indefinitely otherwise (the common
-            # fault-free, uncontrolled case).
+            # Poll when a deadline or a backoff needs watching; block
+            # indefinitely otherwise (the common fault-free case).
             poll = (
                 _POLL_TICK
                 if self.task_timeout is not None
-                or self.control is not None
                 or any(s.not_before > now for s in states.values() if not s.done)
                 else None
             )
@@ -878,9 +692,6 @@ class CampaignEngine:
             err = CampaignTaskError(state.task.label, state.key, state.history)
             state.done = True
             self.counters.failed += 1
-            self._publish(state.key, error=err)
-            self._emit("task_failed", label=state.task.label, key=state.key,
-                       attempts=len(state.history), error=error)
             if not self.keep_going:
                 raise err
             self.failures.append(err)
@@ -899,9 +710,6 @@ class CampaignEngine:
             self.backoff_base * (2 ** (len(state.history) - 1)),
         )
         state.not_before = time.monotonic() + backoff
-        self._emit("task_retried", label=state.task.label, key=state.key,
-                   attempt=state.attempt, kind=kind, error=error,
-                   backoff=backoff)
 
     def _complete(
         self,
@@ -920,7 +728,6 @@ class CampaignEngine:
                 and self.faults.decide_corrupt(state.key)
             ):
                 corrupt_file(self.cache.path_for(state.key), self.faults.seed)
-        self._publish(state.key, payload=payload)
         self._record_done(
             TaskTiming(label=state.task.label, key=state.key, cached=False,
                        seconds=seconds, metrics=_payload_metrics(payload),
@@ -938,29 +745,6 @@ class CampaignEngine:
                 f"injected interrupt after {self._completions} completions"
             )
 
-    def _publish(self, key: str, payload: Any = None, error: Optional[BaseException] = None) -> None:
-        """Resolve this engine's in-flight claim on ``key``, if any."""
-        entry = self._claims.pop(key, None)
-        if entry is None:
-            return
-        if error is not None:
-            self.inflight.publish(entry, error=error)
-        else:
-            self.inflight.publish(entry, payload=payload)
-
-    def _emit(self, event: str, **fields: Any) -> None:
-        """Push one progress event to the ``progress`` callback (if any).
-
-        Subscriber bugs must never take the campaign down, so callback
-        exceptions are swallowed here.
-        """
-        if self.progress is None:
-            return
-        try:
-            self.progress({"event": event, "client": self.client, **fields})
-        except Exception:
-            pass
-
     def _record_done(self, timing: TaskTiming) -> None:
         self.counters.record(timing)
         if self.journal is not None and not timing.failed:
@@ -969,25 +753,11 @@ class CampaignEngine:
                     "key": timing.key,
                     "label": timing.label,
                     "cached": timing.cached,
-                    "coalesced": timing.coalesced,
                     "seconds": round(timing.seconds, 6),
                     "attempts": timing.attempts,
                     "fidelity": timing.fidelity,
                 }
             )
-        self._emit("task_completed", label=timing.label, key=timing.key,
-                   cached=timing.cached, coalesced=timing.coalesced,
-                   seconds=round(timing.seconds, 6), attempts=timing.attempts,
-                   failed=timing.failed)
-
-    def _on_cancel(self) -> None:
-        """Cancel landing spot: persist progress before propagating."""
-        self.cancelled = True
-        if self.manifest_path is not None:
-            try:
-                self.write_manifest(self.manifest_path)
-            except OSError:
-                pass  # the journal already has every completed record
 
     def _on_interrupt(self) -> None:
         """Ctrl-C landing spot: persist progress before propagating."""
@@ -1041,7 +811,6 @@ class CampaignEngine:
             "jobs": self.jobs,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "interrupted": self.interrupted,
-            "cancelled": self.cancelled,
             "cache": cache_info,
             "counters": self.counters.snapshot(),
             "resilience": {
@@ -1065,7 +834,8 @@ class CampaignEngine:
                     "design": t.design,
                     "key": t.key,
                     "cached": t.cached,
-                    "coalesced": t.coalesced,
+                    # Always false: perfbench/run.py indexes this key.
+                    "coalesced": False,
                     "seconds": round(t.seconds, 6),
                     "attempts": t.attempts,
                     "failed": t.failed,
@@ -1098,7 +868,6 @@ class CampaignEngine:
             ("pool_rebuilds", c.pool_rebuilds),
             ("failed", c.failed),
             ("resumed", c.resumed),
-            ("coalesced", c.coalesced),
             ("cache.hits", c.cache_hits),
             ("cache.misses", c.cache_misses),
         ):

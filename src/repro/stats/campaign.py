@@ -1,10 +1,12 @@
-"""Campaign-level progress and timing counters.
+"""Campaign-level task and timing counters.
 
 The :mod:`repro.runner` engine records one :class:`TaskTiming` per
-executed-or-cached task and aggregates them into a
-:class:`CampaignCounters`, the number the acceptance criteria (and the
-manifest) report: how many tasks ran, how many were served from the
-persistent cache, and how much simulated wall time the cache saved.
+executed, cached or failed task and aggregates them into a
+:class:`CampaignCounters`, the numbers the manifest reports: how many
+tasks ran, how many were served from the persistent cache (or resumed
+from the journal), what failed and was retried, and how much worker
+time the executed tasks took.  Every unique task is exactly one of a
+cache hit or a cache miss; a miss either executed or failed.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ class TaskTiming:
         label: Human-readable task label (``simulate:SPMV/gc``).
         key: Content-addressed cache key (SHA-256 hex).
         cached: Whether the result came from the persistent cache.
-        coalesced: Whether the result was shared from another engine's
-            in-flight execution of the same key (service-mode request
-            coalescing) — never executed here, never a disk hit.
         seconds: Worker-side wall time; ~0 for cache hits.
         metrics: Namespaced metrics snapshot from the task's payload
             (``RunResult.extras["metrics"]``); ``None`` when the payload
@@ -51,7 +50,6 @@ class TaskTiming:
     key: str
     cached: bool
     seconds: float
-    coalesced: bool = False
     metrics: Optional[Dict[str, object]] = None
     attempts: int = 1
     failed: bool = False
@@ -81,9 +79,6 @@ class CampaignCounters:
         failed: Tasks that exhausted their retry budget.
         resumed: Tasks served from the cache because the campaign
             journal recorded them as completed by an earlier run.
-        coalesced: Tasks served by following another engine's in-flight
-            execution of the same key (service-mode request coalescing)
-            instead of executing or re-reading the cache.
         timings: Per-task records, in completion order.
     """
 
@@ -99,7 +94,6 @@ class CampaignCounters:
     pool_rebuilds: int = 0
     failed: int = 0
     resumed: int = 0
-    coalesced: int = 0
     timings: List[TaskTiming] = field(default_factory=list)
 
     def record(self, timing: TaskTiming) -> None:
@@ -107,8 +101,6 @@ class CampaignCounters:
         self.unique_tasks += 1
         if timing.cached:
             self.cache_hits += 1
-        elif timing.coalesced:
-            self.coalesced += 1
         else:
             self.cache_misses += 1
             if not timing.failed:
@@ -136,7 +128,6 @@ class CampaignCounters:
             "pool_rebuilds": self.pool_rebuilds,
             "failed": self.failed,
             "resumed": self.resumed,
-            "coalesced": self.coalesced,
         }
 
     def render(self) -> str:
@@ -150,8 +141,6 @@ class CampaignCounters:
         table.row(["elapsed", f"{self.elapsed_seconds:.1f}s"])
         if self.resumed:
             table.row(["resumed from journal", str(self.resumed)])
-        if self.coalesced:
-            table.row(["coalesced (shared in-flight)", str(self.coalesced)])
         if self.retries or self.timeouts or self.pool_rebuilds or self.failed:
             table.row(["retries", str(self.retries)])
             table.row(["timeouts", str(self.timeouts)])

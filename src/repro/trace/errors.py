@@ -3,7 +3,7 @@
 Both the classic :class:`~repro.trace.generators.base.TraceParams`
 validation and the declarative scenario schema
 (:mod:`repro.scenarios.schema`) raise the same exception type, so
-callers — the CLI, the campaign engine, the service layer — can handle
+callers — the CLI and the campaign engine — can handle
 bad workload parameters uniformly regardless of whether the workload
 came from a hand-written generator or a JSON spec.
 """
