@@ -56,7 +56,8 @@ def parse_label(label: str) -> Tuple[str, Optional[str], Optional[str], str]:
     """``(kind, benchmark, design, fidelity)`` from a v1 task label.
 
     Labels look like ``simulate:SPMV/gc``, ``simulate[functional]:X/gc``,
-    ``replay:KMN/bs`` or ``pd-sweep:SPMV``.  Unparseable labels degrade
+    ``pd-sweep:SPMV`` or, in manifests written before the ``replay``
+    task kind was retired, ``replay:KMN/bs``.  Unparseable labels degrade
     to ``(label, None, None, "timing")`` rather than erroring — an old
     or foreign manifest should still load, just with less structure.
     """

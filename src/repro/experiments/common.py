@@ -18,8 +18,8 @@ memoized on top.
 
 The SPDP-B design needs a per-benchmark *optimal* protecting distance
 (the paper's Table 3 lists them).  We find it the way the authors did:
-an offline sweep over the timing-free replay driver, minimizing L1 miss
-rate (canonical implementation: :func:`repro.runner.task.sweep_optimal_pd`).
+an offline sweep on the functional backend, minimizing L1 miss rate
+(canonical implementation: :func:`repro.runner.task.sweep_optimal_pd`).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class EvalSuite:
             suite: ``"timing"`` (cycle-accurate, default) or
             ``"functional"`` (fast vectorized replay; exact cache
             counters, estimated cycles).  PD sweeps are unaffected (they
-            already run the timing-free replay driver).
+            always run on the functional backend).
         scenarios: Declarative scenario spec documents
             (:mod:`repro.scenarios`).  Each is canonicalized with the
             suite's scale/seed and its name joins the workload matrix

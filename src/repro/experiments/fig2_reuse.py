@@ -6,7 +6,8 @@ zero-reuse fraction everywhere, with BFS near the top (~80 % in the
 paper) — the motivation for bypassing.
 
 The distribution is a property of the baseline cache contents, so the
-timing-free replay driver is sufficient (and much faster).
+functional backend is sufficient (and much faster).  It is exact here:
+``bs`` takes no L2 hints, so its L1 reuse does not depend on the L2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def fig2_reuse_distribution(
     """Per-benchmark reuse-count buckets for the baseline L1.
 
     Returns ``{benchmark: {"0": f0, "1": f1, "2": f2, "3+": f3}}``.
-    The replays run through a campaign ``engine`` when one is given
+    The simulations run through a campaign ``engine`` when one is given
     (parallel + persistently cached); the default is serial/uncached.
     """
     if benchmarks is None:
@@ -44,13 +45,13 @@ def fig2_reuse_distribution(
         engine = CampaignEngine(jobs=1)
     tasks = [
         Task(
-            kind="replay",
+            kind="simulate",
             benchmark=bench,
             design="bs",
             scale=scale,
             seed=seed,
             config=config,
-            include_l2=False,
+            fidelity="functional",
         )
         for bench in benchmarks
     ]

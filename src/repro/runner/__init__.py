@@ -5,7 +5,7 @@ campaign; this package makes that campaign embarrassingly parallel and
 incrementally re-runnable:
 
 * :class:`Task` — a picklable, from-scratch-recomputable work unit
-  (timing simulation, timing-free replay, or SPDP-B PD sweep);
+  (a timing or functional simulation, or an SPDP-B PD sweep);
 * :class:`ResultCache` — an on-disk store keyed by a stable hash of the
   task's full inputs plus a code-version salt, with atomic writes and
   corruption-tolerant reads;

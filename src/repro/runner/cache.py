@@ -1,11 +1,11 @@
 """Persistent, content-addressed result cache for simulation campaigns.
 
-Every campaign task (one ``simulate``/``replay`` call or one SPDP-B PD
-sweep) is identified by a *stable key*: the SHA-256 of a canonical JSON
-rendering of everything that determines its outcome — benchmark name,
-trace seed and scale (or a digest of the trace contents for ad-hoc
-traces), the design key and its parameters, every :class:`GPUConfig`
-field, and a code-version salt derived from ``repro.__version__``.  The
+Every campaign task (one ``simulate`` call or one SPDP-B PD sweep) is
+identified by a *stable key*: the SHA-256 of a canonical JSON rendering
+of everything that determines its outcome — benchmark name, trace seed
+and scale (or a digest of the trace contents for ad-hoc traces), the
+design key and its parameters, every :class:`GPUConfig` field, and a
+code-version salt derived from ``repro.__version__``.  The
 key is therefore stable across process restarts and machines, and any
 change to an input produces a different key (i.e. an automatic
 invalidation).

@@ -15,14 +15,13 @@ are built once per group instead of once per task.
 Task kinds:
 
 ``simulate``
-    Full timing simulation; payload is a :class:`~repro.sim.simulator.RunResult`.
-``replay``
-    Timing-free cache replay; payload is a
-    :class:`~repro.sim.replay.ReplayResult` (drives Fig. 2).
+    One simulation at the task's fidelity; payload is a
+    :class:`~repro.sim.simulator.RunResult`.
 ``pd-sweep``
-    The SPDP-B offline protecting-distance sweep; payload is the best
-    PD (``int``).  Defined here (rather than in ``repro.experiments``)
-    so workers need no experiment-layer imports.
+    The SPDP-B offline protecting-distance sweep on the functional
+    backend; payload is the best PD (``int``).  Defined here (rather
+    than in ``repro.experiments``) so workers need no experiment-layer
+    imports.
 """
 
 from __future__ import annotations
@@ -33,8 +32,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
-from repro.sim.replay import build_core_streams, replay
-from repro.sim.functional.engine import build_run_arrays, stream_scheduler
+from repro.sim.functional.engine import (
+    build_run_arrays,
+    functional_replay,
+    stream_scheduler,
+)
 from repro.sim.simulator import FIDELITIES, simulate
 from repro.trace.trace import KernelTrace
 
@@ -54,7 +56,7 @@ __all__ = [
 #: (canonical definition; re-exported by ``repro.experiments.common``).
 PD_SWEEP: Tuple[int, ...] = (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 68, 96)
 
-TASK_KINDS = ("simulate", "replay", "pd-sweep")
+TASK_KINDS = ("simulate", "pd-sweep")
 
 
 def sweep_optimal_pd(
@@ -64,19 +66,17 @@ def sweep_optimal_pd(
 ) -> int:
     """Offline per-benchmark PD sweep (defines SPDP-B, as in the paper).
 
-    Uses the timing-free replay driver and picks the PD with the lowest
-    L1 miss rate; ties go to the smaller PD (cheaper hardware).
+    Replays every candidate on the functional backend over one ``lrr``
+    array build and picks the PD with the lowest L1 miss rate; ties go
+    to the smaller PD (cheaper hardware).  SPDP-B takes no L2 hints, so
+    its L1 counters equal the ``replay()`` oracle's L1-only run.
     """
-    streams = build_core_streams(trace, config)
+    arrays = build_run_arrays(trace, config, "lrr")
     best_pd = candidates[0]
     best_miss = float("inf")
     for pd in candidates:
-        result = replay(
-            trace,
-            config,
-            make_design("spdp-b", pd=pd),
-            streams=streams,
-            include_l2=False,
+        result = functional_replay(
+            trace, config, make_design("spdp-b", pd=pd), arrays=arrays
         )
         miss = result.l1.miss_rate
         if miss < best_miss - 1e-9:
@@ -135,7 +135,7 @@ class Task:
     """One unit of campaign work.
 
     Args:
-        kind: ``"simulate"``, ``"replay"`` or ``"pd-sweep"``.
+        kind: ``"simulate"`` or ``"pd-sweep"``.
         benchmark: Table-1 benchmark name, rebuilt in the worker via
             :func:`repro.trace.suite.build_benchmark` from
             ``(benchmark, scale, seed)``.
@@ -147,7 +147,6 @@ class Task:
             into the cache key, so any change invalidates).
         victim_share_factor: ``S_v`` for victim-bit sharing runs.
         pd_candidates: Sweep candidates for ``pd-sweep`` tasks.
-        include_l2: Model the L2 in ``replay`` tasks.
         fidelity: ``"timing"`` (cycle-accurate, the default) or
             ``"functional"`` (fast vectorized replay with estimated
             cycles) for ``simulate`` tasks.  Part of the cache key, so
@@ -181,7 +180,6 @@ class Task:
     config: GPUConfig = field(default_factory=GPUConfig)
     victim_share_factor: int = 1
     pd_candidates: Tuple[int, ...] = PD_SWEEP
-    include_l2: bool = True
     trace: Optional[KernelTrace] = None
     key_by_trace: bool = False
     trace_key: Optional[str] = None
@@ -263,8 +261,6 @@ class Task:
             fp["design"] = self.design
             fp["pd"] = self.pd
             fp["victim_share_factor"] = self.victim_share_factor
-        if self.kind == "replay":
-            fp["include_l2"] = self.include_l2
         if self.kind == "simulate":
             fp["fidelity"] = self.fidelity
         return fp
@@ -311,10 +307,6 @@ def run_task(task: Task) -> Any:
             victim_share_factor=task.victim_share_factor,
             fidelity=task.fidelity,
             arrays=arrays,
-        )
-    if task.kind == "replay":
-        return replay(
-            trace, task.config, task.build_design(), include_l2=task.include_l2
         )
     return sweep_optimal_pd(trace, task.config, task.pd_candidates)
 

@@ -1,17 +1,17 @@
-"""Timing-free trace replay through the cache hierarchy.
+"""Coalesced per-core streams, and the scalar replay oracle over them.
 
-Some studies need only *cache content* dynamics, not timing: the Fig. 2
-reuse-count characterization, Belady-optimal comparisons (Section 3.1's
-"even OPT barely helps" argument), and the offline protecting-distance
-sweep that defines SPDP-B.  This driver replays a kernel's coalesced
-transaction streams through per-core L1s and the banked L2 in a
-round-robin interleave that mimics LRR warp scheduling, at a small
-fraction of the cost of the full timing simulation.
+:func:`build_core_streams` flattens a kernel into one coalesced
+transaction stream per core.  The access *sequence* is independent of
+the cache design (bypassing never changes which addresses a kernel
+touches), so the streams are built once and replayed through many
+designs by the functional backend (:mod:`repro.sim.functional`).
 
-The access *sequence* is independent of the cache design (bypassing never
-changes which addresses a kernel touches), so the per-core streams are
-built once and can be replayed through many designs — and pre-scanned to
-provide next-use oracles for :class:`~repro.cache.replacement.BeladyPolicy`.
+:func:`replay` is the test oracle, which production code never calls: a
+plain scalar walk of the streams through per-core L1s and the banked
+L2, one transaction per core per round.  The functional backend runs
+every cache-only result and is pinned bit-identical to it by
+``tests/test_functional_equivalence.py``.  It also offers a Belady-OPT
+L1 (``oracle=True``) and an L1-only mode (``include_l2=False``).
 """
 
 from __future__ import annotations

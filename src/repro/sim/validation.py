@@ -1,12 +1,12 @@
 """Cross-model consistency validation.
 
 The repository contains two executions of every workload: the timing
-simulator (:func:`repro.sim.simulator.simulate`) and the timing-free
-replay driver (:func:`repro.sim.replay.replay`).  They share the cache
-substrate but differ in interleaving (event-driven vs round-robin) and
-in MSHR modelling.  :func:`validate_run` checks the invariants that must
-hold regardless, and that the two models' L1 miss rates agree to within
-a tolerance — a cheap, strong regression tripwire for the whole stack.
+simulator and the functional backend (``simulate(..., fidelity=...)``).
+They share the cache substrate but differ in interleaving (event-driven
+vs a fixed stream interleave) and in MSHR modelling.
+:func:`validate_run` checks the invariants that must hold regardless,
+and that the two models' L1 miss rates agree to within a tolerance — a
+cheap, strong regression tripwire for the whole stack.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
-from repro.sim.replay import replay
 from repro.sim.simulator import RunResult, simulate
 from repro.trace.trace import KernelTrace
 
@@ -62,7 +61,7 @@ def validate_run(
         trace: Workload to validate.
         config: Architecture (Table 2 default).
         design: Cache design (baseline default).
-        miss_rate_tolerance: Allowed |timing - replay| L1 miss-rate gap.
+        miss_rate_tolerance: Allowed |timing - functional| L1 miss-rate gap.
             The models intentionally differ in warp interleaving and MSHR
             handling, so this is a coarse envelope, not equality.
         timing_result: Reuse an existing timing run instead of re-running.
@@ -74,7 +73,7 @@ def validate_run(
     report = ValidationReport(benchmark=trace.name, design=design.key)
 
     timing = timing_result if timing_result is not None else simulate(trace, config, design)
-    untimed = replay(trace, config, design)
+    untimed = simulate(trace, config, design, fidelity="functional")
 
     # --- conservation laws -------------------------------------------------
     report._check(
@@ -121,9 +120,10 @@ def validate_run(
     )
 
     # --- cross-model agreement ----------------------------------------------
-    # The timing model counts MSHR-merged accesses as misses; the replay
-    # driver has no MSHRs (those accesses hit the already-applied fill).
-    # Compare merge-adjusted content misses, which both models define.
+    # The timing model counts MSHR-merged accesses as misses; the
+    # functional backend has no MSHRs (those accesses hit the
+    # already-applied fill).  Compare merge-adjusted content misses,
+    # which both models define.
     adjusted_timing_miss = (
         (l1.misses - l1.mshr_merges) / l1.accesses if l1.accesses else 0.0
     )
@@ -132,7 +132,7 @@ def validate_run(
         "timing vs replay miss-rate agreement",
         gap <= miss_rate_tolerance,
         f"gap {gap:.3f} > {miss_rate_tolerance} "
-        f"(timing adj {adjusted_timing_miss:.3f}, replay "
+        f"(timing adj {adjusted_timing_miss:.3f}, functional "
         f"{untimed.l1.miss_rate:.3f})",
     )
     return report

@@ -38,7 +38,7 @@ class TaskTiming:
         fidelity: Simulation fidelity the task ran at (``"timing"`` or
             ``"functional"``); recorded in the manifest so mixed-fidelity
             campaigns stay auditable.
-        kind: Task kind (``"simulate"``, ``"replay"``, ``"pd-sweep"``);
+        kind: Task kind (``"simulate"`` or ``"pd-sweep"``);
             surfaced as a structured manifest field so the analysis
             layer never has to re-parse labels.
         benchmark: Benchmark name the task ran, when known.

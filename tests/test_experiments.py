@@ -5,6 +5,8 @@ consistent), not paper-shape numbers — the shape checks live in
 benchmarks/, which run at experiment scale.
 """
 
+import re
+
 import pytest
 
 from repro.experiments.ablations import (
@@ -23,6 +25,11 @@ from repro.experiments.fig8_speedup import fig8_speedups, render_fig8
 from repro.experiments.fig9_missrate import fig9_miss_rates, render_fig9
 from repro.experiments.fig10_64kb import make_64kb_suite
 from repro.experiments.table3_bypass import render_table3, table3_rows
+from repro.runner import Task
+from repro.runner.task import PD_SWEEP
+from repro.sim.config import GPUConfig
+from repro.sim.designs import make_design
+from repro.sim.replay import replay
 from repro.trace.suite import build_benchmark
 
 TINY = dict(scale=0.05, seed=0)
@@ -62,6 +69,41 @@ class TestSweep:
 
         pd = sweep_optimal_pd(trace, GPUConfig(), candidates=(4, 8))
         assert pd in (4, 8)
+
+
+#: Benchmarks on which the functional PD sweep and Fig. 2 are pinned to
+#: the scalar replay() oracle.
+ORACLE_BENCHMARKS = ("SPMV", "KMN", "NW", "SD1", "SYRK")
+
+
+class TestOracleAgreement:
+    """PD sweeps and Fig. 2 run on the functional backend; both must
+    give exactly what the L1-only replay() oracle gives."""
+
+    @pytest.mark.parametrize("bench", ORACLE_BENCHMARKS)
+    def test_sweep_picks_oracle_pd(self, bench):
+        trace = build_benchmark(bench, **TINY)
+        config = GPUConfig()
+        best_pd, best_miss = PD_SWEEP[0], float("inf")
+        for pd in PD_SWEEP:
+            miss = replay(
+                trace, config, make_design("spdp-b", pd=pd), include_l2=False
+            ).l1.miss_rate
+            if miss < best_miss - 1e-9:
+                best_pd, best_miss = pd, miss
+        assert sweep_optimal_pd(trace, config) == best_pd
+
+    @pytest.mark.parametrize("bench", ORACLE_BENCHMARKS)
+    def test_fig2_matches_oracle(self, bench):
+        trace = build_benchmark(bench, **TINY)
+        oracle = replay(trace, GPUConfig(), make_design("bs"), include_l2=False)
+        data = fig2_reuse_distribution([bench], **TINY)
+        assert data == {bench: oracle.l1.reuse.buckets()}
+
+    def test_replay_task_kind_is_gone(self):
+        known = re.escape("known: ('simulate', 'pd-sweep')")
+        with pytest.raises(ValueError, match=known):
+            Task(kind="replay", benchmark="SD1", design="bs")
 
 
 class TestFigureHarnesses:

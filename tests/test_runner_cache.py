@@ -134,8 +134,8 @@ class TestKeyInvalidation:
 
     def test_kind_matters(self):
         sim = Task(kind="simulate", benchmark="SPMV", design="bs")
-        rep = Task(kind="replay", benchmark="SPMV", design="bs")
-        assert sim.key(self.SALT) != rep.key(self.SALT)
+        sweep = Task(kind="pd-sweep", benchmark="SPMV", design="bs")
+        assert sim.key(self.SALT) != sweep.key(self.SALT)
 
     def test_trace_content_keying(self, tiny_config):
         from repro.trace.trace import CTATrace, KernelTrace, OP_LOAD
@@ -211,8 +211,8 @@ class TestCacheStore:
     def test_corrupt_entry_reexecutes(self, tmp_path):
         """End-to-end: a damaged file means the engine quarantines the
         entry and recomputes — never crashes, never serves rot."""
-        task = Task(kind="replay", benchmark="SD1", design="bs", scale=0.05,
-                    include_l2=False)
+        task = Task(kind="simulate", benchmark="SD1", design="bs", scale=0.05,
+                    fidelity="functional")
         engine = CampaignEngine(jobs=1, cache=ResultCache(tmp_path))
         first = engine.run_one(task)
         key = task.key(engine.salt)
@@ -266,16 +266,16 @@ class TestNoCachePath:
         monkeypatch.chdir(tmp_path)
         engine = CampaignEngine(jobs=1, cache=None)
         engine.run_one(
-            Task(kind="replay", benchmark="SD1", design="bs", scale=0.05,
-                 include_l2=False)
+            Task(kind="simulate", benchmark="SD1", design="bs", scale=0.05,
+                 fidelity="functional")
         )
         assert not any(tmp_path.iterdir())
         assert engine.counters.cache_misses == 1
 
     def test_no_cache_bypasses_reads_too(self, tmp_path):
         """--no-cache must not serve stale hits even when entries exist."""
-        task = Task(kind="replay", benchmark="SD1", design="bs", scale=0.05,
-                    include_l2=False)
+        task = Task(kind="simulate", benchmark="SD1", design="bs", scale=0.05,
+                    fidelity="functional")
         warm = CampaignEngine(jobs=1, cache=ResultCache(tmp_path))
         warm.run_one(task)
         cold = CampaignEngine(jobs=1, cache=None)
@@ -286,8 +286,8 @@ class TestNoCachePath:
 
 class TestEngineDedup:
     def test_duplicate_tasks_execute_once(self):
-        task = Task(kind="replay", benchmark="SD1", design="bs", scale=0.05,
-                    include_l2=False)
+        task = Task(kind="simulate", benchmark="SD1", design="bs", scale=0.05,
+                    fidelity="functional")
         engine = CampaignEngine(jobs=1, cache=None)
         a, b = engine.run([task, task])
         assert a is b

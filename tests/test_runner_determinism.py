@@ -135,8 +135,8 @@ CHAOS_BENCHMARKS = ("SD1", "SPMV")
 
 def chaos_tasks(benchmarks=CHAOS_BENCHMARKS):
     return [
-        Task(kind="replay", benchmark=b, design="bs", scale=SCALE,
-             include_l2=False)
+        Task(kind="simulate", benchmark=b, design="bs", scale=SCALE,
+             fidelity="functional")
         for b in benchmarks
     ]
 

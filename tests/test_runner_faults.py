@@ -48,8 +48,8 @@ SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 def replay_task(benchmark: str = "SD1") -> Task:
-    return Task(kind="replay", benchmark=benchmark, design="bs", scale=0.05,
-                include_l2=False)
+    return Task(kind="simulate", benchmark=benchmark, design="bs", scale=0.05,
+                fidelity="functional")
 
 
 def l1_signature(results):

@@ -27,8 +27,8 @@ BENCHES = ("SD1", "SPMV", "BFS", "KMN")
 
 def tasks():
     return [
-        Task(kind="replay", benchmark=b, design="bs", scale=0.05,
-             include_l2=False)
+        Task(kind="simulate", benchmark=b, design="bs", scale=0.05,
+             fidelity="functional")
         for b in BENCHES
     ]
 
