@@ -73,12 +73,6 @@ class ManagementPolicy:
     # Batch contracts, read by the functional engine (docs/performance.md,
     # "Adding a new design's batch hooks").  Each must be true of the
     # class that declares it.
-    #: L1 hits and stores leave the policy's state untouched and no hook
-    #: reads ``fill_time`` or ``now`` (beyond tracing).  Gates one thing:
-    #: whether the functional engine's miss heap, whose walks between
-    #: load misses call no hook, may replay a design with victim-bit
-    #: hints or a tick under this policy.
-    batchable = False
     #: ``fill_decision(hint=False)`` returns False with no side effects
     #: whenever ``switches.bits[set_index]`` is 0.
     fill_gate_switches = False
@@ -121,7 +115,12 @@ class ManagementPolicy:
         """Slot ``idx`` is about to be evicted (its state is still intact)."""
 
     def on_tick(self, now: int) -> None:
-        """Periodic callback, every :attr:`tick_interval` demand accesses."""
+        """Periodic callback, every :attr:`tick_interval` demand accesses.
+
+        ``now`` is for tracing only: the functional engine may deliver a
+        tick late, with a later access's time, just before its next fill
+        hook.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__}>"
@@ -131,4 +130,3 @@ class NullManagementPolicy(ManagementPolicy):
     """Conventional cache behaviour: insert everything, never bypass."""
 
     name = "none"
-    batchable = True

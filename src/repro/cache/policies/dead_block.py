@@ -36,11 +36,6 @@ class DeadBlockPolicy(ManagementPolicy):
     """
 
     name = "dbp"
-    # The predictor learns only at eviction and decides only at fill:
-    # hits and stores leave it untouched, and no hook reads `now` or
-    # fill times, so a variant with victim-bit hints could take the
-    # functional engine's miss heap.
-    batchable = True
 
     def __init__(
         self,

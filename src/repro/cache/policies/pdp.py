@@ -151,9 +151,6 @@ class StaticPDPPolicy(ManagementPolicy):
     """
 
     name = "spdp-b"
-    # Not batchable: every access ticks its set's clock (possibly
-    # decrementing the whole set's PDCs), and victims are ordered by
-    # fill time.
 
     def __init__(self, pd: int, counter_bits: int = 8, bypass: bool = True) -> None:
         if pd < 1:

@@ -117,9 +117,6 @@ class GCachePolicy(ManagementPolicy):
     """Adaptive bypass + insertion for the GPU L1 (the paper's G-Cache)."""
 
     name = "gcache"
-    # Hits and stores touch no switch, counter or RRPV state of ours, and
-    # `now` only timestamps traced events.
-    batchable = True
 
     def __init__(self, config: Optional[GCacheConfig] = None) -> None:
         self.config = cfg = config if config is not None else GCacheConfig()

@@ -14,36 +14,39 @@ cost.  The speed comes from three observations about the oracle:
    dirty bits, victim bits), and it is all **per-(bank, set)**: the
    observable order is per-set order, not global order.
 
-:meth:`FunctionalEngine.run` picks one of two routes on a single fact:
-does L2 state feed back into L1?
+:meth:`FunctionalEngine.run` picks one of two routes.
 
-* **No feedback** (no victim-bit hints and no periodic tick: bs, bs-s,
-  dbp and the PDP family).  L1 evolution is then a pure function of the
-  core's own stream, so each core's L1 replays start to finish on its
-  own, and the entire L2 event stream follows as batched per-set bursts
-  with vectorized victim selection (:mod:`repro.sim.functional.bursts`).
-  Null-management designs replay L1 as a burst too; managed designs
-  walk it scalar, calling the policy's hooks with the precomputed
-  ``now`` of each access.  That makes the walk exact even for policies
-  that act on every access: PDP's per-set clocks, PDCs and sampler all
-  live in the core's own policy object, and its victim order reads the
-  ``fill_time`` the walk stores.
-* **Feedback** (gc, gc-m: a hint changes the fill, which changes the
-  core's future hits).  A hint is a *second* L2 request for a line from
-  the same L1, or the same victim-bit share group (paper Section 4.2),
-  so only a load whose group loaded the line before in this run, or
-  whose line starts the run in L2 with the group's bit set, can carry
-  one.  Only those *hint-capable* load misses resolve in global order,
-  through a min-heap.  Everything else is folded into the per-core
-  walks: hits, stores, and the other load misses, which fill inline
-  with ``hint=False`` (they could never see a hint, whenever their L2
-  access runs).  The L2 effects of stores and inline misses are parked
-  in per-(bank, set) buffers, flushed in time order just before the
-  next same-set heap miss, and the rest replay in one :func:`l2_burst`
-  when the heap drains.  An event's time is always below every heap
-  time when its core walks past it, so the deferral never reorders
-  observable same-set state.  The walks skip the hit hooks, so this
-  route requires a batchable policy.
+* **Burst** (null management, no tick and no victim bits: bs, bs-s).
+  L1 behaviour is then a pure per-(core, set) function of the stream,
+  so every core's L1 replays as one :func:`l1_burst` and the L2 events
+  it emits as one :func:`l2_burst`, both with vectorized victim
+  selection (:mod:`repro.sim.functional.bursts`).
+* **Walk** (every other design).  Each core's L1 replays in a scalar
+  walk that calls the hooks its policy overrides, with the precomputed
+  ``now`` of each access, and stores ``fill_time`` on every fill.  That
+  is exact even for policies that act on every access: PDP's per-set
+  clocks, PDCs and sampler all live in the core's own policy object.
+  A victim-bit hint is the one way L2 state reaches back into L1.  A
+  hint is a *second* L2 request for a line from the same L1, or the
+  same victim-bit share group (paper Section 4.2), so only a load whose
+  group loaded the line before in this run, or whose line starts the
+  run in L2 with the group's bit set, can carry one.  Only those
+  *hint-capable* load misses resolve in global order, through a
+  min-heap; every other load miss fills inline with ``hint=False`` (it
+  could never see a hint, whenever its L2 access runs).  A design
+  without victim bits has none, so its heap only seeds one walk per
+  core.  The L2 effects of stores and inline misses go by set.  In a
+  *hot* (bank, set), one that some hint-capable load maps to, they park
+  in a per-set buffer that is flushed in time order just before the
+  next same-set heap miss; elsewhere the walk records their stream
+  positions.  Both replay in one :func:`l2_burst` when the heap drains.
+  An event's time is always below every heap time when its core walks
+  past it, so the deferral never reorders observable same-set state.
+
+  A periodic tick counts down per core and fires just before the next
+  fill hook, so it can arrive after accesses it was due by.  Only a hit
+  or miss hook could observe that, so the engine refuses a policy that
+  combines a tick with an ``on_hit`` or ``on_miss`` override.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class _L1State:
     :mod:`repro.cache.policies.base`), so each core's policy object
     attaches to it directly.  All state lives in plain Python lists:
     scalar element access on a list is several times cheaper than NumPy
-    item extraction, and the walks are scalar.
+    item extraction, and the walk is scalar.
     """
 
     __slots__ = (
@@ -152,9 +155,9 @@ class FunctionalEngine:
 
     With ``profile=True`` the engine accumulates a wall-clock breakdown
     in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L1/L2
-    rounds, including the miss heap's drain-end burst) and
-    ``"scalar_event"`` (everything else: walks, heap events, parked-event
-    flushes and the miss heap's hint-capable pre-pass) — so the
+    rounds, including the walk's drain-end burst) and
+    ``"scalar_event"`` (everything else: the walk, heap events,
+    parked-event flushes and the hint-capable pre-pass) — so the
     remaining scalar residue is measurable.  ``"probe"`` is always 0.0;
     it stays because profilers read the key set by name.
     """
@@ -185,7 +188,7 @@ class FunctionalEngine:
             policy.attach(self.l1[c], repls[c], f"L1[{c}]")
         policy = self.mgmt[0]
         self._lru = self.repl.kind == "lru"
-        # Which hooks the policy overrides; the replay loops skip the
+        # Which hooks the policy overrides; the walk skips the
         # Python call entirely for base-class no-ops.
         has = {
             hook: getattr(type(policy), hook)
@@ -203,18 +206,19 @@ class FunctionalEngine:
         self._has_evict = has["on_evict"]
         self._has_insert = has["on_insert"]
         self._tick_interval = max(0, policy.tick_interval)
-        self._null_mgmt = not self._tick_interval and not any(has.values())
-        # Victim-bit hints and periodic ticks are the only ways L2 state
-        # or the global clock reach back into L1 decisions.
-        self._feedback = self.design.uses_victim_bits or bool(
-            self._tick_interval
-        )
-        if self._feedback and not policy.batchable:
+        if self._tick_interval and (self._has_hit or self._has_miss):
             raise FunctionalUnsupportedError(
-                f"design {self.design.key!r}: a policy with victim-bit "
-                f"hints or a periodic tick must be batchable "
-                f"({type(policy).__name__} is not)"
+                f"design {self.design.key!r}: the walk delivers a periodic "
+                f"tick late, just before the next fill hook, so a policy "
+                f"with a tick cannot hook hits or misses "
+                f"({type(policy).__name__} does)"
             )
+        # The burst route has no hooks, no tick and no victim bits.
+        self._null_mgmt = not (
+            self._tick_interval
+            or any(has.values())
+            or self.design.uses_victim_bits
+        )
         self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
         self.l2 = [
@@ -293,77 +297,25 @@ class FunctionalEngine:
                 addr_map=self.addr_map,
                 now_offset=self.transactions,
             )
-        if self._feedback:
-            self._run_missheap(arrays)
+        if self._null_mgmt:
+            self._run_decoupled_burst(arrays)
         else:
-            self._run_decoupled(arrays)
+            self._run_missheap(arrays)
         self.transactions += sum(a.n for a in arrays)
         self.instructions += trace.instruction_count()
         self.kernels.append(trace.name)
 
     # ------------------------------------------------------------------
-    # No-feedback route: per-core L1 replay, then one batched per-set L2
-    # burst.
+    # Burst route (bs, bs-s): one batched L1 burst, then one L2 burst.
     # ------------------------------------------------------------------
-    def _run_decoupled(self, arrays) -> None:
-        """Replay without any global ordering structure.
-
-        Valid when the design raises no victim-bit hints and has no
-        periodic tick: L1 evolution is then a pure function of the
-        core-private stream (each core's policy is its own and sees the
-        precomputed ``now`` of every access), and the L2 event stream is
-        order-observable only within each (bank, set) — exactly what the
-        burst kernel preserves.
-        """
-        if self._null_mgmt:
-            self._run_decoupled_burst(arrays)
-            return
-        prof = self._prof
-        if prof is not None:
-            t0 = perf_counter()
-        ev_now: List[np.ndarray] = []
-        ev_part: List[np.ndarray] = []
-        ev_local: List[np.ndarray] = []
-        ev_set2: List[np.ndarray] = []
-        ev_write: List[np.ndarray] = []
-        for c in range(len(arrays)):
-            A = arrays[c]
-            A.ensure_scalar_l1()
-            A.ensure_times()
-            ev: List[int] = []
-            self._walk_core(c, A, ev)
-            if ev:
-                A.ensure_l1()
-                A.ensure_l2()
-                ep = np.array(ev, dtype=np.int64)
-                ev_now.append(A.now[ep])
-                ev_part.append(A.part[ep])
-                ev_local.append(A.local[ep])
-                ev_set2.append(A.set2[ep])
-                ev_write.append(A.write[ep])
-        if prof is not None:
-            prof["scalar_event"] += perf_counter() - t0
-        if not ev_now:
-            return
-        if prof is not None:
-            t1 = perf_counter()
-        self._l2_burst(
-            np.concatenate(ev_now),
-            np.concatenate(ev_part),
-            np.concatenate(ev_local),
-            np.concatenate(ev_set2),
-            np.concatenate(ev_write),
-        )
-        if prof is not None:
-            prof["burst"] += perf_counter() - t1
-
     def _run_decoupled_burst(self, arrays) -> None:
         """Null-management fast path (bs, bs-s): no scalar L1 at all.
 
-        With no management hooks and no tick, L1 behaviour is a pure
-        per-(core, set) function of the stream, so the whole L1 replay
-        runs as one :func:`l1_burst` over every core's concatenated
-        columns, and the events it emits feed :func:`l2_burst` directly.
+        With no management hooks, no tick and no victim bits, L1
+        behaviour is a pure per-(core, set) function of the stream, so
+        the whole L1 replay runs as one :func:`l1_burst` over every
+        core's concatenated columns, and the events it emits feed
+        :func:`l2_burst` directly.
         """
         prof = self._prof
         if prof is not None:
@@ -415,156 +367,30 @@ class FunctionalEngine:
         if prof is not None:
             prof["burst"] += perf_counter() - t0
 
-    def _walk_core(self, c: int, A, ev: List[int]) -> None:
-        """Sequential start-to-finish replay of one core's L1.
-
-        Every access reaches the policy's hooks in the oracle's order
-        with its precomputed ``now``; load misses fill immediately with
-        ``hint=False``.  Every L2 event's stream position (all stores +
-        all load misses) is appended to ``ev``, unordered — the burst
-        kernel re-sorts per (bank, set) by precomputed time.
-        """
-        l1 = self.l1[c]
-        ways = l1.ways
-        tag = l1.tag
-        use = l1.use_count
-        stamp = l1.stamp
-        rrpv = l1.rrpv
-        fill_time = l1.fill_time
-        vc_l = l1.valid_count
-        line_l = A.line_l
-        write_l = A.write_l
-        set1_l = A.set1_l
-        now_l = A.now_l
-        n = A.n
-        lru = self._lru
-        rst = self._repl_st[c]
-        has_hit = self._has_hit
-        has_miss = self._has_miss
-        has_fill = self._has_fill
-        has_bypass = self._has_bypass
-        has_choose = self._has_choose
-        has_evict = self._has_evict
-        has_insert = self._has_insert
-        insertion_rrpv = self.repl.insertion_rrpv
-        select_victim = self.repl.select_victim
-        policy = self.mgmt[c]
-        on_hit = policy.on_hit
-        on_miss = policy.on_miss
-        fill_decision = policy.fill_decision
-        on_bypass = policy.on_bypass
-        choose_victim = policy.choose_victim
-        on_evict = policy.on_evict
-        on_insert = policy.on_insert
-        reuse = self.l1_reuse
-        append = ev.append
-        loads = stores = load_hits = store_hits = 0
-        fills = bypasses = evictions = 0
-        pos = 0
-        while pos < n:
-            line = line_l[pos]
-            set_index = set1_l[pos]
-            base = set_index * ways
-            seg = tag[base : base + ways]
-            if line in seg:
-                idx = base + seg.index(line)
-                use[idx] += 1
-                if lru:
-                    t = rst[0] + 1
-                    rst[0] = t
-                    stamp[idx] = t
-                else:
-                    rrpv[idx] = 0
-                if has_hit:
-                    on_hit(set_index, idx, now_l[pos])
-                if write_l[pos]:
-                    stores += 1
-                    store_hits += 1
-                    append(pos)
-                else:
-                    loads += 1
-                    load_hits += 1
-                pos += 1
-                continue
-            if has_miss:
-                on_miss(set_index, now_l[pos])
-            if write_l[pos]:
-                # Write-through no-allocate: store misses skip L1 state.
-                stores += 1
-                append(pos)
-                pos += 1
-                continue
-            # Load miss: fill inline (hints never fire on this route).
-            now = now_l[pos]
-            loads += 1
-            append(pos)
-            if has_fill and fill_decision(set_index, line, False, now):
-                bypasses += 1
-                if has_bypass:
-                    on_bypass(set_index, now)
-            else:
-                vcv = vc_l[set_index]
-                if vcv < ways:
-                    way = vcv
-                    vc_l[set_index] = vcv + 1
-                else:
-                    way = choose_victim(set_index, now) if has_choose else None
-                    if way is None:
-                        if lru:
-                            sseg = stamp[base : base + ways]
-                            way = sseg.index(min(sseg))
-                        else:
-                            way = select_victim(rst, l1, base, base + ways)
-                    idx = base + way
-                    evictions += 1
-                    reuse[use[idx]] += 1
-                    if has_evict:
-                        on_evict(idx, now)
-                idx = base + way
-                tag[idx] = line
-                use[idx] = 0
-                fill_time[idx] = now
-                fills += 1
-                if lru:
-                    t = rst[0] + 1
-                    rst[0] = t
-                    stamp[idx] = t
-                else:
-                    rrpv[idx] = insertion_rrpv
-                if has_insert:
-                    on_insert(idx, False, now)
-            pos += 1
-        self.l1_loads += loads
-        self.l1_stores += stores
-        self.l1_load_hits += load_hits
-        self.l1_store_hits += store_hits
-        self.l1_fills += fills
-        self.l1_bypasses += bypasses
-        self.l1_evictions += evictions
-
     # ------------------------------------------------------------------
-    # Feedback route (gc, gc-m): hint-capable load misses take the heap;
-    # every other L2 event parks per (bank, set).
+    # Walk route (every managed design): one scalar walk per core;
+    # hint-capable load misses take the heap.
     # ------------------------------------------------------------------
     def _run_missheap(self, arrays) -> None:
         for A in arrays:
-            A.ensure_l1()
-            A.ensure_scalar_l1()
-            A.ensure_times()
-            A.ensure_scalar_l2()
+            A.ensure_scalar()
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-        parked = self._drain_missheap(arrays, self._hint_capable(arrays))
+        parked, positions = self._drain_missheap(
+            arrays, *self._hint_capable(arrays)
+        )
         if prof is not None:
             t1 = perf_counter()
             prof["scalar_event"] += t1 - t0
-        self._burst_parked(arrays, parked)
+        self._burst_parked(arrays, parked, positions)
         if prof is not None:
             prof["burst"] += perf_counter() - t1
 
-    def _hint_capable(self, arrays) -> List[bytearray]:
-        """Per-core flags, 1 at each load that may receive a victim hint.
+    def _hint_capable(self, arrays):
+        """Per-core flags, 1 at each load that may receive a victim hint,
+        and per-(bank, set) flags, 1 at each *hot* set: one that some
+        flagged load maps to (indexed by ``part * l2_bank_sets + set2``).
 
         A hint is the requester group's victim bit found already set on
         the L2 line: a *second* L2 request from the same L1 (or share
@@ -577,10 +403,15 @@ class FunctionalEngine:
         hits as loads too, so it flags a superset of the second
         requests: that costs heap traffic, never exactness.
         """
+        S2 = self.config.l2_bank_sets
         if self._vd_masks is None:
-            # A tick alone puts a design on this route; no load hints.
-            return [bytearray(A.n) for A in arrays]
+            # No victim bits, no hints: nothing takes the heap.
+            return (
+                [bytearray(A.n) for A in arrays],
+                bytearray(len(self.l2) * S2),
+            )
         share = self._share
+        hot = np.zeros(len(self.l2) * S2, dtype=np.uint8)
         warm = any(any(b.vb) for b in self.l2)
         if warm:
             # Resident lines with any victim bit set, keyed like the
@@ -630,9 +461,11 @@ class FunctionalEngine:
                 f[p] = flag[o : o + p.size]
                 o += p.size
                 out.append(bytearray(f))
-        return out
+                q = np.flatnonzero(f)
+                hot[A.part[q] * S2 + A.set2[q]] = 1
+        return out, bytearray(hot)
 
-    def _drain_missheap(self, arrays, hint_capable) -> List[array]:
+    def _drain_missheap(self, arrays, hint_capable, hot):
         """Event loop whose heap carries **hint-capable load misses only**.
 
         Each core walks inline through its hits, stores and the load
@@ -642,18 +475,22 @@ class FunctionalEngine:
         miss, which re-arms it in the heap.  The heap starts with one
         walk-only entry per core at time -1 (below every transaction
         time), so that same walk also reaches each core's first stop.
+        The walk calls ``on_hit`` on hits, ``on_miss`` on store misses
+        and on load misses before the fill hooks, and fills through the
+        same hooks the heap calls; due ticks fire before each fill.
 
         L1 state is core-private, so a walk may run ahead of other
-        cores: the inline misses fill with ``hint=False`` through the
-        same hooks the heap calls, and due ticks fire before each of
-        them.  Their L2 loads, and every store's L2 write, are parked
-        in per-(bank, set) buffers as ``now * num_cores + core`` and
-        flushed oldest first just before a same-set hint-capable miss
-        runs its L2 access.  That keeps the oracle's per-set order: a
-        popped miss holds the minimum heap time, and every other core
-        has walked past (and therefore parked) all its events below it.
-        Across sets, order is unobservable.  Returns the events still
-        parked at drain end; :meth:`_burst_parked` replays them.
+        cores.  In a ``hot`` (bank, set), the L2 loads of its inline
+        misses and every store's L2 write park in that set's buffer as
+        ``now * num_cores + core``, flushed oldest first just before a
+        same-set hint-capable miss runs its L2 access.  That keeps the
+        oracle's per-set order: a popped miss holds the minimum heap
+        time, and every other core has walked past (and therefore
+        parked) all its events below it.  Across sets, order is
+        unobservable, and no heap miss touches any other set, so there
+        the walk appends the event's stream position to its core's
+        list.  Returns the events still parked at drain end and those
+        lists; :meth:`_burst_parked` replays both.
         """
         C = len(arrays)
         # Sorted, so already a valid heap.
@@ -661,6 +498,8 @@ class FunctionalEngine:
         push = heapq.heappush
         pop = heapq.heappop
         pos_l = [0] * C
+        has_hit = self._has_hit
+        has_miss = self._has_miss
         has_fill = self._has_fill
         has_bypass = self._has_bypass
         has_choose = self._has_choose
@@ -685,32 +524,41 @@ class FunctionalEngine:
         S2 = self.config.l2_bank_sets
         l1_reuse = self.l1_reuse
         l2_reuse = self.l2_reuse
-        # One buffer per (bank, set), indexed by `part * S2 + set2`.
-        parked = [array("q") for _ in range(len(self.l2) * S2)]
+        # One buffer per hot (bank, set), indexed by `part * S2 + set2`;
+        # the walk never parks in any other set, so those share one
+        # empty array.
+        empty = array("q")
+        parked = [array("q") if h else empty for h in hot]
+        any_hot = any(hot)
         parked_cols = [
             (A.now_l, A.local_l, A.write_l, vd_masks[c])
             for c, A in enumerate(arrays)
         ]
+        positions: List[List[int]] = [[] for _ in range(C)]
         l1_store_hits = 0
         l1_fills = l1_bypasses = l1_evictions = 0
         l2_loads = l2_load_hits = l2_fills = 0
         l2_evictions = l2_writebacks = 0
         contentions = 0
 
-        # One tuple per core / per bank bundling every hot attribute; a
-        # single indexed load + unpack per event replaces ~25 attribute
-        # lookups through __slots__ descriptors.  All bundled objects are
-        # mutated in place, so the bindings stay valid for the whole
-        # drain (`bank.tick` is a plain int and stays an attribute).
+        # One tuple per core / per bank bundling every hot attribute and
+        # bound hook; a single indexed load + unpack per event replaces
+        # ~25 attribute lookups through __slots__ descriptors.  All
+        # bundled objects are mutated in place, so the bindings stay
+        # valid for the whole drain (`bank.tick` is a plain int and
+        # stays an attribute).
         core_cols = [
             (
-                A.line_l, A.write_l, A.set1_l, A.now_l, A.part_l,
-                A.local_l, A.set2_l, A.n, hint_capable[c], vd_masks[c],
+                A.line_l, A.write_l, A.set1_l, A.now_l, A.slot_l,
+                A.local_l, A.n, hint_capable[c], vd_masks[c],
                 l1s[c].tag, l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
-                l1s[c].valid_count, l1s[c].ways, repl_st[c], policies[c],
-                policies[c].switches.bits if fill_gate else None,
+                l1s[c].fill_time, l1s[c].valid_count, l1s[c].ways,
+                repl_st[c], pol.on_hit, pol.on_miss, pol.fill_decision,
+                pol.on_bypass, pol.choose_victim, pol.on_evict,
+                pol.on_insert, pol.switches.bits if fill_gate else None,
+                positions[c].append,
             )
-            for c, A in enumerate(arrays)
+            for c, (A, pol) in enumerate(zip(arrays, policies))
         ]
         bank_cols = [
             (b, b.tag, b.stamp, b.use, b.dirty, b.vb, b.valid_count,
@@ -720,9 +568,10 @@ class FunctionalEngine:
 
         while heap:
             now, c = pop(heap)
-            (line_l, write_l, set1_l, now_l, part_l, local_l, set2_l,
-             n, capable, mask, tag, use, stamp, rrpv, l1_vc, ways, rst,
-             policy, gate) = core_cols[c]
+            (line_l, write_l, set1_l, now_l, slot_l, local_l, n, capable,
+             mask, tag, use, stamp, rrpv, fill_time, l1_vc, ways, rst,
+             on_hit, on_miss, fill_decision, on_bypass, choose_victim,
+             on_evict, on_insert, gate, record) = core_cols[c]
             p = pos_l[c]
             # A real time marks this core's turn: the access at p is the
             # hint-capable load miss its last walk stopped at.
@@ -743,27 +592,32 @@ class FunctionalEngine:
                         stamp[idx] = t
                     else:
                         rrpv[idx] = 0
+                    if has_hit:
+                        on_hit(set_index, idx, now_l[p])
                     if not write_l[p]:
                         p += 1
                         continue
                     l1_store_hits += 1
                 elif write_l[p]:
                     # Write-through no-allocate: store misses skip L1.
-                    pass
+                    if has_miss:
+                        on_miss(set_index, now_l[p])
                 elif capable[p] and not due:
                     break
                 else:
                     # Load miss: the due hint-capable one runs its L2
-                    # access now; any other parks it (no hint possible).
+                    # access now; any other defers it (no hint possible).
                     now = now_l[p]
-                    part = part_l[p]
-                    bset = set2_l[p]
+                    if has_miss:
+                        on_miss(set_index, now)
                     hint = False
                     if due:
                         due = False
+                        slot = slot_l[p]
+                        part, bset = divmod(slot, S2)
                         (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
                          bways) = bank_cols[part]
-                        buf = parked[part * S2 + bset]
+                        buf = parked[slot]
                         if buf:
                             flush(bank, bset, buf, now, parked_cols)
                         bbase = bset * bways
@@ -800,24 +654,26 @@ class FunctionalEngine:
                         if prev & mask:
                             contentions += 1
                             hint = True
+                    elif any_hot and hot[slot_l[p]]:
+                        parked[slot_l[p]].append(now * C + c)
                     else:
-                        parked[part * S2 + bset].append(now * C + c)
+                        record(p)
                     if tick_interval:
                         k = p + 1 - run
                         if k >= tick_left[c]:
                             # Ticks due by this access fire before its
-                            # hooks.
+                            # fill hooks.
                             tick_run(c, k, now)
                             run = p + 1
                     # L1 fill.
                     if (
                         has_fill
-                        and (hint or gate is None or gate[set_index])
-                        and policy.fill_decision(set_index, line, hint, now)
+                        and (gate is None or hint or gate[set_index])
+                        and fill_decision(set_index, line, hint, now)
                     ):
                         l1_bypasses += 1
                         if has_bypass:
-                            policy.on_bypass(set_index, now)
+                            on_bypass(set_index, now)
                     else:
                         vc = l1_vc[set_index]
                         if vc < ways:
@@ -825,7 +681,7 @@ class FunctionalEngine:
                             l1_vc[set_index] = vc + 1
                         else:
                             way = (
-                                policy.choose_victim(set_index, now)
+                                choose_victim(set_index, now)
                                 if has_choose
                                 else None
                             )
@@ -834,10 +690,9 @@ class FunctionalEngine:
                                     sseg = stamp[base : base + ways]
                                     way = sseg.index(min(sseg))
                                 else:
-                                    # Inline of ReplacementModel
-                                    # .select_victim (SRRIP): age to
-                                    # max, take the first line that
-                                    # held the pre-aging maximum.
+                                    # SRRIP: age to max, take the first
+                                    # line that held the pre-aging
+                                    # maximum.
                                     rseg = rrpv[base : base + ways]
                                     top_val = max(rseg)
                                     if top_val < max_rrpv:
@@ -850,13 +705,11 @@ class FunctionalEngine:
                             l1_evictions += 1
                             l1_reuse[use[idx]] += 1
                             if has_evict:
-                                policy.on_evict(idx, now)
+                                on_evict(idx, now)
                         idx = base + way
                         tag[idx] = line
                         use[idx] = 0
-                        # fill_time is not maintained here: only
-                        # non-batchable policies read it, and the
-                        # constructor keeps them off this route.
+                        fill_time[idx] = now
                         l1_fills += 1
                         if lru:
                             rst[0] += 1
@@ -864,11 +717,14 @@ class FunctionalEngine:
                         else:
                             rrpv[idx] = insertion_rrpv
                         if has_insert and (hint or not insert_skip_cold):
-                            policy.on_insert(idx, hint, now)
+                            on_insert(idx, hint, now)
                     p += 1
                     continue
-                # A store, hit or miss: park its L2 write.
-                parked[part_l[p] * S2 + set2_l[p]].append(now_l[p] * C + c)
+                # A store, hit or miss: defer its L2 write.
+                if any_hot and hot[slot_l[p]]:
+                    parked[slot_l[p]].append(now_l[p] * C + c)
+                else:
+                    record(p)
                 p += 1
             pos_l[c] = p
             if tick_interval and p > run:
@@ -893,16 +749,17 @@ class FunctionalEngine:
         self.l2_evictions += l2_evictions
         self.l2_writebacks += l2_writebacks
         self.contentions_detected += contentions
-        return parked
+        return parked, positions
 
     def _tick_run(self, c: int, accesses: int, now: int) -> None:
         """Count ``accesses`` walked accesses down core ``c``'s tick.
 
         Every tick that falls inside them is delivered now, with ``now``
         (used only for tracing) the time of the last one.  That is exact
-        for batchable policies as long as the walk calls it before each
-        hooked access a tick is due by: hits and stores call no hook, so
-        nothing else can observe when a tick fired.
+        as long as the walk calls it before each fill a tick is due by
+        and the policy hooks neither hits nor misses (the constructor
+        refuses it otherwise): no other hook can observe when a tick
+        fired.
         """
         left = self._tick_left[c]
         if accesses < left:
@@ -1001,40 +858,45 @@ class FunctionalEngine:
         self.l2_evictions += evictions
         self.l2_writebacks += writebacks
 
-    def _burst_parked(self, arrays, parked: List[array]) -> None:
-        """Replay the events still parked at drain end in one
-        :func:`l2_burst`.
+    def _burst_parked(
+        self, arrays, parked: List[array], positions: List[List[int]]
+    ) -> None:
+        """Replay the walk's deferred L2 events in one :func:`l2_burst`:
+        those still parked in hot sets at drain end, and those recorded
+        by stream position everywhere else.
 
         Each is later than every hint-capable miss of its (bank, set),
         so the burst's per-set order is the oracle's.  None can meet a
         victim bit of its own group: the burst's contention count is
         checked to be 0.
         """
-        code = np.frombuffer(b"".join(parked), dtype=np.int64)
-        if not code.size:
-            return
         C = len(arrays)
-        core = code % C
-        part = np.empty_like(code)
-        local = np.empty_like(code)
-        set2 = np.empty_like(code)
-        write = np.empty(code.size, dtype=np.bool_)
-        for c, A in enumerate(arrays):
-            sel = np.flatnonzero(core == c)
-            if sel.size:
-                p = np.searchsorted(A.now, code[sel] // C)
-                part[sel] = A.part[p]
-                local[sel] = A.local[p]
-                set2[sel] = A.set2[p]
-                write[sel] = A.write[p]
-        mask = (
-            np.array(self._vd_masks, dtype=self._vb_dtype)[core]
-            if self._vd_masks is not None
-            else None
-        )
-        # The codes sort like the event times, which is all the burst
-        # reads of them.
-        if self._l2_burst(code, part, local, set2, write, mask):
+        sel = [np.array(p, dtype=np.int64) for p in positions]
+        code = np.frombuffer(b"".join(parked), dtype=np.int64)
+        if code.size:
+            core = code % C
+            for c, A in enumerate(arrays):
+                mine = code[core == c]
+                if mine.size:
+                    sel[c] = np.concatenate(
+                        (sel[c], np.searchsorted(A.now, mine // C))
+                    )
+        if not any(p.size for p in sel):
+            return
+        mask = None
+        if self._vd_masks is not None:
+            mask = np.repeat(
+                np.array(self._vd_masks, dtype=self._vb_dtype),
+                [p.size for p in sel],
+            )
+        if self._l2_burst(
+            np.concatenate([A.now[p] for A, p in zip(arrays, sel)]),
+            np.concatenate([A.part[p] for A, p in zip(arrays, sel)]),
+            np.concatenate([A.local[p] for A, p in zip(arrays, sel)]),
+            np.concatenate([A.set2[p] for A, p in zip(arrays, sel)]),
+            np.concatenate([A.write[p] for A, p in zip(arrays, sel)]),
+            mask,
+        ):
             raise RuntimeError(
                 "a parked L2 load met its own victim bit: the "
                 "hint-capable test missed a second request"

@@ -3,7 +3,7 @@
 Management policies need no functional copy: the engine attaches the
 design's real policy objects to its per-core L1 planes (see
 :mod:`repro.cache.policies.base`).  Replacement is different — the
-engine inlines LRU/SRRIP updates into its walks and burst kernels, so
+engine inlines LRU/SRRIP updates into its walk and burst kernels, so
 it models the two supported kinds over its flat stamp/rrpv lists.
 """
 
@@ -33,20 +33,6 @@ class ReplacementModel:
     def new_core(self):
         # LRU carries one monotonically increasing stamp tick per cache.
         return [0]
-
-    def select_victim(self, st, l1, base: int, top: int) -> int:
-        if self.kind == "lru":
-            seg = l1.stamp[base:top]
-            return seg.index(min(seg))
-        # SRRIP: bulk-age to max (no clamping happens pre-victim), victim
-        # is the first line holding the pre-aging maximum.
-        rrpv = l1.rrpv
-        seg = rrpv[base:top]
-        top_val = max(seg)
-        if top_val < self.max_rrpv:
-            delta = self.max_rrpv - top_val
-            rrpv[base:top] = [v + delta for v in seg]
-        return seg.index(top_val)
 
 
 def replacement_model(repl: ReplacementPolicy, design_key: str) -> ReplacementModel:

@@ -13,15 +13,15 @@ closed form:
 can be applied eagerly while shared-L2 events are ordered by their
 precomputed times.
 
-Columns are built **lazily**: the engine's per-design replay paths touch
-very different subsets (the scalar walks and the miss heap want plain
-Python lists; the null-management burst path wants NumPy columns and
-never most of the lists), so only ``line_l``/
-``write_l`` (the tuple split every other column derives from) and the
-closed-form ``now`` column are materialized up front.  Everything else
-is built on first request by an ``ensure_*`` method and cached, so a
-sweep sharing one :class:`CoreArrays` across many designs still pays
-each conversion at most once.
+Columns are built **lazily**: the engine's two replay routes touch
+different subsets (the scalar walk wants plain Python lists; the
+null-management burst route wants NumPy columns and never most of the
+lists), so only ``line_l``/``write_l`` (the tuple split every other
+column derives from) and the closed-form ``now`` column are
+materialized up front.  Everything else is built on first request by an
+``ensure_*`` method and cached, so a sweep sharing one
+:class:`CoreArrays` across many designs still pays each conversion at
+most once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class CoreArrays:
     ``line_l``/``write_l`` (plain lists) and ``now`` (NumPy) are always
     present; every other column starts as ``None`` and is materialized
     by the matching ``ensure_*`` call.  The engine calls ``ensure_*``
-    once per run for exactly the columns its replay path reads, then
+    once per run for exactly the columns its replay route reads, then
     binds the plain attributes in its hot loops — lazy construction
     never adds per-access indirection.
     """
@@ -58,15 +58,15 @@ class CoreArrays:
         "part",
         "local",
         "set2",
-        # Python-list columns (scalar paths; element access on a list is
-        # several times cheaper than NumPy scalar extraction).
+        # Python-list columns (the scalar walk; element access on a list
+        # is several times cheaper than NumPy scalar extraction).
         "line_l",
         "write_l",
         "set1_l",
         "now_l",
-        "part_l",
         "local_l",
-        "set2_l",
+        # Flat L2 (bank, set) index: `part * l2_bank_sets + set2`.
+        "slot_l",
         # Deferred-conversion inputs.
         "_l1_mask",
         "_l2_mask",
@@ -94,9 +94,8 @@ class CoreArrays:
         self.set2: Optional[np.ndarray] = None
         self.set1_l: Optional[list] = None
         self.now_l: Optional[list] = None
-        self.part_l: Optional[list] = None
         self.local_l: Optional[list] = None
-        self.set2_l: Optional[list] = None
+        self.slot_l: Optional[list] = None
         self._l1_mask = l1_mask
         self._l2_mask = l2_mask
         self._addr_map = addr_map
@@ -110,25 +109,12 @@ class CoreArrays:
         return self.line
 
     def ensure_l1(self) -> None:
-        """NumPy ``line``/``write``/``set1`` for the L1 burst kernel
-        (the walk route reads only ``write``, for its L2 events)."""
+        """NumPy ``line``/``write``/``set1`` for the L1 burst kernel."""
         line = self._line_np()
         if self.write is None:
             self.write = np.array(self.write_l, dtype=np.bool_)
         if self.set1 is None:
             self.set1 = line & self._l1_mask
-
-    def ensure_scalar_l1(self) -> None:
-        """List ``set1_l`` for the scalar L1 walk/event paths."""
-        if self.set1_l is None:
-            if self.set1 is None:
-                self.set1 = self._line_np() & self._l1_mask
-            self.set1_l = self.set1.tolist()
-
-    def ensure_times(self) -> None:
-        """List ``now_l`` for event ordering (heap keys, store times)."""
-        if self.now_l is None:
-            self.now_l = self.now.tolist()
 
     def ensure_l2(self) -> None:
         """NumPy ``part``/``local``/``set2`` (L2 routing)."""
@@ -138,13 +124,18 @@ class CoreArrays:
             self.local = self._addr_map.local_array(line)
             self.set2 = self.local & self._l2_mask
 
-    def ensure_scalar_l2(self) -> None:
-        """List ``part_l``/``local_l``/``set2_l`` for scalar L2 events."""
-        if self.part_l is None:
+    def ensure_scalar(self) -> None:
+        """Every column the walk reads: the NumPy ones and the lists
+        ``set1_l``/``now_l``/``local_l``/``slot_l``."""
+        if self.slot_l is None:
+            self.ensure_l1()
             self.ensure_l2()
-            self.part_l = self.part.tolist()
+            self.set1_l = self.set1.tolist()
+            self.now_l = self.now.tolist()
             self.local_l = self.local.tolist()
-            self.set2_l = self.set2.tolist()
+            self.slot_l = (
+                self.part * (self._l2_mask + 1) + self.set2
+            ).tolist()
 
 
 def build_core_arrays(

@@ -119,10 +119,7 @@ class TestPrebuiltArrays:
     def test_shared_arrays_equal_unshared_runs(self, trace, config):
         arrays = functional_arrays(trace, config)
         for a in arrays:  # materialize every lazy column up front
-            a.ensure_l1()
-            a.ensure_scalar_l1()
-            a.ensure_times()
-            a.ensure_scalar_l2()
+            a.ensure_scalar()
         before = _columns(arrays)
         for key in self.DESIGNS:
             shared = simulate(trace, config, make_design(key),

@@ -28,8 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies.pdp import DynamicPDPPolicy
+from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
 from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.core.gcache import GCacheConfig
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DESIGN_KEYS, DesignSpec, make_design
@@ -56,8 +57,8 @@ def _design(key: str) -> DesignSpec:
         # Frequent periodic switch shutdowns: exercises the tick engine.
         return make_design("gc", gcache_config=GCacheConfig(shutdown_interval=64))
     if key == "gc-tick-only":
-        # G-Cache's policy without victim bits: the periodic tick alone
-        # puts it on the miss-heap route, where no load carries a hint.
+        # G-Cache's policy without victim bits: its hooks and periodic
+        # tick put it on the walk, where no load carries a hint.
         return replace(
             _design("gc-fast-shutdown"), key="gc-tick-only",
             uses_victim_bits=False,
@@ -76,6 +77,17 @@ def _design(key: str) -> DesignSpec:
             make_l1_replacement=LRUPolicy,
             make_l1_mgmt=lambda: DynamicPDPPolicy(
                 counter_bits=3, epoch_accesses=128
+            ),
+        )
+    if key == "pdp-tiny-epoch":
+        # A PD recompute every 16 observed accesses: epoch boundaries
+        # land inside the short adversarial kernels.
+        return DesignSpec(
+            key="pdp-tiny-epoch",
+            label="Dynamic PDP (3-bit, 16-access epochs)",
+            make_l1_replacement=LRUPolicy,
+            make_l1_mgmt=lambda: DynamicPDPPolicy(
+                counter_bits=3, epoch_accesses=16
             ),
         )
     return make_design(key)
@@ -188,8 +200,9 @@ def test_engine_drives_the_designs_own_policies(key, config):
 
 
 # ---------------------------------------------------------------------------
-# Routing: only L2 feedback into L1 (victim bits or a periodic tick) takes
-# the load-miss heap; every other design replays per core, then bursts L2.
+# Routing: a design with no management hooks, no tick and no victim bits
+# replays as L1 and L2 bursts; every other design takes the one scalar
+# walk, whose heap carries only hint-capable load misses.
 # ---------------------------------------------------------------------------
 
 
@@ -258,23 +271,56 @@ class _TickingPDP(DynamicPDPPolicy):
     tick_interval = 64
 
 
-@pytest.mark.parametrize(
-    "make_mgmt, victim_bits",
-    [(DynamicPDPPolicy, True), (_TickingPDP, False)],
-    ids=["victim-bits", "tick"],
-)
-def test_feedback_requires_a_batchable_policy(make_mgmt, victim_bits, config):
-    """The miss heap walks hits without calling hooks, so a policy that
-    acts on every access cannot take it; the engine refuses up front."""
+def test_tick_with_a_hit_hook_is_refused(config):
+    """The walk fires a due tick just before the next fill hook, after
+    hits a hit hook would already have seen; the engine refuses up
+    front."""
     design = DesignSpec(
-        key="pdp-feedback",
-        label="Dynamic PDP with L2 feedback",
+        key="pdp-tick",
+        label="Dynamic PDP with a periodic tick",
+        make_l1_replacement=LRUPolicy,
+        make_l1_mgmt=_TickingPDP,
+    )
+    with pytest.raises(FunctionalUnsupportedError, match="tick"):
+        FunctionalEngine(config, design)
+
+
+@pytest.mark.parametrize(
+    "make_mgmt",
+    [
+        lambda: DynamicPDPPolicy(counter_bits=3, epoch_accesses=16),
+        lambda: StaticPDPPolicy(pd=8, bypass=True),
+    ],
+    ids=["dynamic-pdp", "static-pdp"],
+)
+def test_victim_bit_pdp_matches_oracle(make_mgmt, spmv_trace, config):
+    """PDP's hit and miss hooks run in the walk between heap misses, so
+    a PDP design with victim bits replays exactly too."""
+    design = DesignSpec(
+        key="pdp-victim-bits",
+        label="PDP with victim bits",
         make_l1_replacement=LRUPolicy,
         make_l1_mgmt=make_mgmt,
-        uses_victim_bits=victim_bits,
+        uses_victim_bits=True,
     )
-    with pytest.raises(FunctionalUnsupportedError, match="batchable"):
-        FunctionalEngine(config, design)
+    assert_equivalent(spmv_trace, config, design)
+
+
+@pytest.mark.parametrize(
+    "make_repl", [LRUPolicy, SRRIPPolicy], ids=["lru", "srrip"]
+)
+def test_null_management_with_victim_bits_matches_oracle(
+    make_repl, spmv_trace, config
+):
+    """Victim bits alone keep a null-management design off the burst
+    route, which would leave ``contentions_detected`` at 0."""
+    design = replace(
+        make_design("bs"), key="bs-victim-bits",
+        make_l1_replacement=make_repl, uses_victim_bits=True,
+    )
+    oracle = replay(spmv_trace, config, design)
+    assert oracle.extras["contentions_detected"] > 0
+    assert_equivalent(spmv_trace, config, design)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +570,15 @@ def burst_adversarial_kernels(draw):
     return KernelTrace(name="BURST-ADV", ctas=ctas)
 
 
-#: The designs that exercise each replay route: full L1+L2 bursts
-#: (bs, bs-s), scalar walk + L2 burst with hit hooks skipped (dbp) and
-#: with every hook called per access (pdp-3, spdp-b), and the miss heap
-#: with parked stores and first-load misses (gc, gc-m), with periodic
-#: ticks interleaved between inline first-load fills (gc-fast-shutdown).
+#: The designs that exercise each replay route: the L1 + L2 bursts
+#: (bs, bs-s) and the walk.  On the walk: fill hooks only (dbp); hit and
+#: miss hooks on every access (pdp-3, spdp-b), with PD recomputes at
+#: epoch boundaries (pdp-tiny-epoch); hint-capable misses on the heap
+#: beside parked stores and first-load misses (gc, gc-m); and periodic
+#: ticks between inline first-load fills (gc-fast-shutdown).
 BURST_PATH_DESIGNS = (
-    "bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m", "gc-fast-shutdown",
+    "bs", "bs-s", "dbp", "pdp-3", "spdp-b", "pdp-tiny-epoch", "gc", "gc-m",
+    "gc-fast-shutdown",
 )
 
 #: The miss heap's seed walks at their edges: core 1's stream is stores
