@@ -190,24 +190,21 @@ timing_sweep()      # warmup: imports, allocator, caches
 functional_sweep()
 for k in phase_totals:   # profile the measured rounds only
     phase_totals[k] = 0.0
-best_timing = best_functional = None
+timing_rounds, functional_rounds = [], []
 for _ in range(repeats):
     t0 = time.perf_counter()
     timing_sweep()
-    dt = time.perf_counter() - t0
-    best_timing = dt if best_timing is None or dt < best_timing else best_timing
+    timing_rounds.append(time.perf_counter() - t0)
     t0 = time.perf_counter()
     functional_sweep()
-    dt = time.perf_counter() - t0
-    if best_functional is None or dt < best_functional:
-        best_functional = dt
+    functional_rounds.append(time.perf_counter() - t0)
 
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if sys.platform == "darwin":
     rss //= 1024
 print(json.dumps({{
-    "timing_seconds": best_timing,
-    "functional_seconds": best_functional,
+    "timing_rounds": timing_rounds,
+    "functional_rounds": functional_rounds,
     "phase_seconds": phase_totals if profile else None,
     "calib_seconds": calib,
     "peak_rss_kb": rss,
@@ -245,8 +242,11 @@ def time_functional_sweep(
         capture_output=True, text=True,
     ).stdout
     raw = json.loads(out.splitlines()[-1])
-    timing = float(raw["timing_seconds"])
-    functional = float(raw["functional_seconds"])
+    timing_rounds = [float(t) for t in raw["timing_rounds"]]
+    functional_rounds = [float(f) for f in raw["functional_rounds"]]
+    timing = min(timing_rounds)
+    functional = min(functional_rounds)
+    round_ratios = [t / f for t, f in zip(timing_rounds, functional_rounds)]
     calib = float(raw["calib_seconds"])
     rec: Dict[str, object] = {
         "benchmark": benchmark,
@@ -259,6 +259,13 @@ def time_functional_sweep(
         "timing_seconds": round(timing, 6),
         "functional_seconds": round(functional, 6),
         "speedup": round(timing / functional, 4),
+        # Every round's seconds beside the best-of-N values: a FAIL then
+        # shows whether the timing side sped up or the functional side
+        # slowed down, and how far the ratio swings within one run.
+        "timing_rounds": [round(t, 6) for t in timing_rounds],
+        "functional_rounds": [round(f, 6) for f in functional_rounds],
+        "round_speedup_min": round(min(round_ratios), 4),
+        "round_speedup_max": round(max(round_ratios), 4),
         "peak_rss_kb": raw["peak_rss_kb"],
         "calib_seconds": round(calib, 6),
         "normalized_cost": round(functional / calib, 4),
@@ -273,6 +280,17 @@ def time_functional_sweep(
             k: round(float(v) / total, 4) for k, v in sorted(phases.items())
         }
     return rec
+
+
+def _rounds_text(timing_rounds: List[float],
+                 functional_rounds: List[float]) -> str:
+    """Per-round seconds and the min-max per-round speedup, for a gate line."""
+    ratios = [t / f for t, f in zip(timing_rounds, functional_rounds)]
+    return (
+        "rounds timing " + "/".join(f"{t:.3f}" for t in timing_rounds)
+        + "s functional " + "/".join(f"{f:.3f}" for f in functional_rounds)
+        + f"s ratio {min(ratios):.2f}-{max(ratios):.2f}x"
+    )
 
 
 def functional_gate(
@@ -293,6 +311,9 @@ def functional_gate(
     kernel's subprocess landing on a noisy core shifts its own ratio by
     ~15%, but the total — three subprocesses, interleaved fidelities
     inside each — stays put.  Per-benchmark ratios print as advisory.
+    Each per-benchmark line and record, and the TOTAL line, also carry
+    every round's timing and functional seconds and the min-max
+    per-round ratio, so a FAIL shows which side moved.
 
     ``profile_phases`` adds a per-benchmark breakdown of where the
     functional side's time goes (burst kernels vs scalar walks and
@@ -301,6 +322,8 @@ def functional_gate(
     """
     print(f"-- functional gate (design sweep: {', '.join(FUNCTIONAL_DESIGNS)}) --")
     total_timing = total_functional = 0.0
+    round_timing = [0.0] * repeats
+    round_functional = [0.0] * repeats
     records: List[Dict[str, object]] = []
     for benchmark in benchmarks or FUNCTIONAL_BENCHMARKS:
         rec = time_functional_sweep(
@@ -310,10 +333,14 @@ def functional_gate(
         records.append(rec)
         total_timing += rec["timing_seconds"]
         total_functional += rec["functional_seconds"]
+        for i in range(repeats):
+            round_timing[i] += rec["timing_rounds"][i]
+            round_functional[i] += rec["functional_rounds"][i]
         print(
             f"{benchmark:<6} timing {rec['timing_seconds']:.3f}s  "
             f"functional {rec['functional_seconds']:.3f}s  "
-            f"speedup {rec['speedup']:.2f}x"
+            f"speedup {rec['speedup']:.2f}x  "
+            + _rounds_text(rec["timing_rounds"], rec["functional_rounds"])
         )
         if "phase_split" in rec:
             split = rec["phase_split"]
@@ -344,7 +371,8 @@ def functional_gate(
     print(
         f"TOTAL  timing {total_timing:.3f}s  "
         f"functional {total_functional:.3f}s  "
-        f"speedup {total:.2f}x (>= {threshold:.1f}x) {verdict}"
+        f"speedup {total:.2f}x (>= {threshold:.1f}x) {verdict}  "
+        + _rounds_text(round_timing, round_functional)
     )
     if total < threshold:
         print(

@@ -23,10 +23,11 @@ LINE = 128
 
 
 def show(step: str, cache: Cache, policy: GCachePolicy, outcome: str) -> None:
-    ways = cache.sets[0]
+    store = cache.store
     state = ", ".join(
-        f"{chr(ord('a') + (w.tag % 4))}{w.tag // 4 + 1}(rrpv={w.rrpv})" if w.valid else "I"
-        for w in ways
+        f"{chr(ord('a') + (store.tag[i] % 4))}{store.tag[i] // 4 + 1}"
+        f"(rrpv={store.rrpv[i]})" if store.valid[i] else "I"
+        for i in range(cache.ways)  # set 0
     )
     switch = "ON " if policy.switches.is_on(0) else "off"
     print(f"{step:<14} switch={switch}  set0=[{state}]  -> {outcome}")
@@ -50,13 +51,11 @@ def main() -> None:
             show(f"{label} @t={now}", l1, policy, "L1 hit")
             return
         # L1 miss: go to the L2, collect the victim hint.
-        l2_result = l2.lookup(line, now)
-        if l2_result.hit:
-            l2_line = l2_result.line
-        else:
+        l2_slot = l2.lookup_fast(line, now)
+        if l2_slot < 0:
             fill = l2.fill(line, now, FillContext(line))
-            l2_line = l2.sets[fill.set_index][fill.way]
-        hint = directory.observe(l2_line, src_id=0)
+            l2_slot = fill.set_index * l2.ways + fill.way
+        hint = directory.observe(l2.store, l2_slot, src_id=0)
         fill = l1.fill(line, now, FillContext(line, victim_hint=hint))
         outcome = "BYPASSED" if fill.bypassed else "filled"
         if hint:

@@ -14,15 +14,13 @@ its bypass/insertion decision.
 Hot-path layout (see docs/performance.md): tag/RRPV/dirty/victim state
 lives in the packed parallel arrays of a
 :class:`~repro.cache.tagstore.FlatTagStore`; the tag scan is a C-speed
-``list.index`` over the set's slice, and LRU/RRIP replacement updates go
-through the policies' ``flat_*`` hooks without materialising a line
-object.  Management policies work on the same flat arrays (see
-:mod:`repro.cache.policies.base`).  ``cache.sets[s][w]`` still yields a
-:class:`~repro.cache.tagstore.CacheLineView` with the full
-:class:`~repro.cache.line.CacheLine` attribute API for tests and
-diagnostics — and the retained
-:class:`~repro.cache.reference.ReferenceCache` pins both
-implementations to bit-identical behaviour under property test.
+``list.index`` over the set's slice.  Replacement updates go through the
+policy's ``flat_*`` hooks, and management policies work on the same flat
+arrays (see :mod:`repro.cache.policies.base`).  Callers read a line's
+state as ``cache.store.<field>[slot]``, where ``slot`` is the flat index
+:meth:`Cache.lookup_fast` returns, or ``set_index * ways + way``.  The
+retained :class:`~repro.cache.reference.ReferenceCache` is pinned to
+bit-identical behaviour under property test.
 """
 
 from __future__ import annotations
@@ -30,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cache.line import CacheLine  # noqa: F401  (re-exported API type)
 from repro.cache.policies.base import (
     FillContext,
     ManagementPolicy,
     NullManagementPolicy,
 )
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.tagstore import CacheLineView, FlatTagStore
+from repro.cache.tagstore import FlatTagStore
 from repro.obs.events import EV_BYPASS, EV_EVICT, EV_FILL, EV_HIT, EV_MISS
 from repro.stats.counters import CacheStats
 
@@ -51,7 +48,6 @@ class LookupResult:
     hit: bool
     set_index: int
     way: int = -1
-    line: Optional[CacheLineView] = None
 
 
 @dataclass(slots=True)
@@ -79,7 +75,8 @@ class Cache:
         size_bytes: Total data capacity.
         ways: Associativity.
         line_size: Line size in bytes (Table 2: 128 B).
-        replacement: Replacement policy instance (one per cache).
+        replacement: Replacement policy instance; one per cache (an
+            instance already bound to another cache raises ``ValueError``).
         mgmt: Management (bypass/insertion) policy; defaults to a
             conventional always-insert policy.
         write_back: ``True`` for write-back (L2), ``False`` for
@@ -129,32 +126,17 @@ class Cache:
         self.stats = CacheStats()
         #: Packed tag-array state (structure-of-arrays).
         self.store = FlatTagStore(num_sets, ways)
-        self._views: List[CacheLineView] = [
-            CacheLineView(self.store, i) for i in range(num_sets * ways)
-        ]
-        #: Line-object view of the tag array; ``sets[s][w]`` is a live
-        #: proxy onto the packed arrays (CacheLine attribute API).
-        self.sets: List[List[CacheLineView]] = [
-            self._views[s * ways : (s + 1) * ways] for s in range(num_sets)
-        ]
         self._set_mask = num_sets - 1
-        self._repl_binds = hasattr(replacement, "bind_set")
-        self._repl_misses = hasattr(replacement, "record_miss")
+        replacement.flat_bind(self.store)
+        self._flat_on_hit = replacement.flat_on_hit
+        self._flat_on_fill = replacement.flat_on_fill
+        self._flat_select_victim = replacement.flat_select_victim
         self.mgmt.attach(self.store, replacement, name)
         # The policy's periodic tick: one integer countdown inside
         # lookup_fast, so a policy that only needs "every N accesses"
         # defines no on_hit/on_miss and the lookup pays no call for it.
         self._tick_interval = max(0, self.mgmt.tick_interval)
         self._tick_left = self._tick_interval
-
-        # Flat replacement hooks (bound methods, or None -> object path).
-        self._flat_on_hit = None
-        self._flat_on_fill = None
-        self._flat_select_victim = None
-        if replacement.flat_bind(self.store):
-            self._flat_on_hit = replacement.flat_on_hit
-            self._flat_on_fill = replacement.flat_on_fill
-            self._flat_select_victim = replacement.flat_select_victim
 
         # Management hooks that are base-class no-ops are skipped on the
         # hot path entirely (bound method, or None when default).
@@ -227,14 +209,12 @@ class Cache:
         method is a thin wrapper over this one — but no
         :class:`LookupResult` is allocated, which matters to the memory
         system's per-transaction path (most callers only need the hit
-        boolean or the hit line, never the full result object).
+        boolean or the hit slot, never the full result object).
         """
         store = self.store
         set_index = (line_addr >> self.pre_shift) & self._set_mask
         base = set_index * self.ways
         top = base + self.ways
-        if self._repl_binds:
-            self.replacement.bind_set(set_index)
 
         stats = self.stats
         if is_write:
@@ -274,11 +254,7 @@ class Cache:
                     store.dirty[idx] = 1
             else:
                 stats.load_hits += 1
-            flat_hit = self._flat_on_hit
-            if flat_hit is not None:
-                flat_hit(idx, now)
-            else:
-                self.replacement.on_hit(self.sets[set_index], idx - base, now)
+            self._flat_on_hit(idx, now)
             mgmt_hit = self._mgmt_on_hit
             if mgmt_hit is not None:
                 mgmt_hit(set_index, idx, now)
@@ -289,8 +265,6 @@ class Cache:
                 )
             return idx
 
-        if self._repl_misses:
-            self.replacement.record_miss(set_index)
         mgmt_miss = self._mgmt_on_miss
         if mgmt_miss is not None:
             mgmt_miss(set_index, now)
@@ -306,9 +280,7 @@ class Cache:
         idx = self.lookup_fast(line_addr, now, is_write)
         set_index = (line_addr >> self.pre_shift) & self._set_mask
         if idx >= 0:
-            return LookupResult(
-                True, set_index, idx - set_index * self.ways, self._views[idx]
-            )
+            return LookupResult(True, set_index, idx - set_index * self.ways)
         return LookupResult(False, set_index)
 
     def fill(
@@ -344,8 +316,6 @@ class Cache:
         set_index = (line_addr >> self.pre_shift) & self._set_mask
         base = set_index * self.ways
         top = base + self.ways
-        if self._repl_binds:
-            self.replacement.bind_set(set_index)
 
         if not known_absent:
             # Inlined _find_slot (see lookup).
@@ -392,10 +362,8 @@ class Cache:
             chosen = None if choose_victim is None else choose_victim(set_index, now)
             if chosen is not None:
                 way = chosen
-            elif self._flat_select_victim is not None:
-                way = self._flat_select_victim(base, top, now)
             else:
-                way = self.replacement.select_victim(self.sets[set_index], now)
+                way = self._flat_select_victim(base, top, now)
             idx = base + way
             evicted_tag = store.tag[idx]
             writeback = self.write_back and bool(store.dirty[idx])
@@ -421,11 +389,7 @@ class Cache:
         if is_write and self.write_allocate:
             store.dirty[idx] = 1
         self.stats.fills += 1
-        flat_fill = self._flat_on_fill
-        if flat_fill is not None:
-            flat_fill(idx, now)
-        else:
-            self.replacement.on_fill(self.sets[set_index], way, now)
+        self._flat_on_fill(idx, now)
         on_insert = self._mgmt_on_insert
         if on_insert is not None:
             on_insert(idx, hint, now)

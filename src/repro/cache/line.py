@@ -25,7 +25,7 @@ class CacheLine:
         dirty: Write-back dirtiness (only meaningful for write-back caches).
         rrpv: Re-Reference Prediction Value (RRIP state); also reused as the
             recency stamp holder for LRU-style policies via ``stamp``.
-        stamp: Generic recency/insertion stamp used by LRU/FIFO policies.
+        stamp: Generic recency stamp (LRU tick or Belady next use).
         use_count: Number of *re*-uses (hits) since the current fill; the
             fill itself is not counted.  Feeds the Fig. 2 reuse histogram.
         fill_time: Time at which the current generation was filled.

@@ -129,8 +129,6 @@ class ReferenceCache:
             [CacheLine() for _ in range(ways)] for _ in range(num_sets)
         ]
         self._set_mask = num_sets - 1
-        self._repl_binds = hasattr(replacement, "bind_set")
-        self._repl_misses = hasattr(replacement, "record_miss")
         self.mgmt.attach(LinePlanes(self.sets), replacement, name)
         self._tick_left = self.mgmt.tick_interval
 
@@ -156,8 +154,6 @@ class ReferenceCache:
     def lookup(self, line_addr: int, now: int, is_write: bool = False) -> LookupResult:
         set_index = self.set_index(line_addr)
         ways = self.sets[set_index]
-        if self._repl_binds:
-            self.replacement.bind_set(set_index)
 
         if is_write:
             self.stats.stores += 1
@@ -182,10 +178,8 @@ class ReferenceCache:
                     self.stats.load_hits += 1
                 self.replacement.on_hit(ways, way, now)
                 self.mgmt.on_hit(set_index, set_index * self.ways + way, now)
-                return LookupResult(hit=True, set_index=set_index, way=way, line=line)
+                return LookupResult(hit=True, set_index=set_index, way=way)
 
-        if self._repl_misses:
-            self.replacement.record_miss(set_index)
         self.mgmt.on_miss(set_index, now)
         return LookupResult(hit=False, set_index=set_index)
 
@@ -194,8 +188,6 @@ class ReferenceCache:
             ctx = FillContext(line_addr=line_addr)
         set_index = self.set_index(line_addr)
         ways = self.sets[set_index]
-        if self._repl_binds:
-            self.replacement.bind_set(set_index)
 
         for way, line in enumerate(ways):
             if line.valid and line.tag == line_addr:

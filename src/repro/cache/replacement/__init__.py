@@ -1,44 +1,19 @@
-"""Pluggable replacement policies for the generic cache substrate."""
+"""Replacement policies of the cache substrate.
+
+LRU is the baseline (BS) L1 and every L2 bank; 3-bit SRRIP is the BS-S
+and G-Cache L1; Belady OPT is the offline bound of the paper's Section
+3.1 argument, driven by :func:`repro.sim.replay.replay`.
+"""
 
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.belady import NEVER, BeladyPolicy
-from repro.cache.replacement.lru import FIFOPolicy, LRUPolicy, MRUPolicy
-from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.replacement.random_policy import RandomPolicy
-from repro.cache.replacement.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
+from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.rrip import SRRIPPolicy
 
 __all__ = [
     "ReplacementPolicy",
     "LRUPolicy",
-    "MRUPolicy",
-    "FIFOPolicy",
-    "NRUPolicy",
-    "RandomPolicy",
     "SRRIPPolicy",
-    "BRRIPPolicy",
-    "DRRIPPolicy",
     "BeladyPolicy",
     "NEVER",
 ]
-
-
-def make_replacement(name: str, **kwargs) -> ReplacementPolicy:
-    """Build a replacement policy by name (used by configs and CLIs)."""
-    registry = {
-        "lru": LRUPolicy,
-        "mru": MRUPolicy,
-        "fifo": FIFOPolicy,
-        "nru": NRUPolicy,
-        "random": RandomPolicy,
-        "srrip": SRRIPPolicy,
-        "brrip": BRRIPPolicy,
-        "drrip": DRRIPPolicy,
-        "opt": BeladyPolicy,
-    }
-    try:
-        cls = registry[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; known: {sorted(registry)}"
-        ) from None
-    return cls(**kwargs)

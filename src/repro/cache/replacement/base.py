@@ -1,18 +1,29 @@
 """Replacement-policy interface.
 
 A replacement policy owns the *recency state* of the lines in one cache
-(it is instantiated per cache, and operates on one set at a time).  It is
-deliberately minimal — three hooks — so that management policies (bypass /
-insertion, :mod:`repro.cache.policies`) can compose with any of them.
+and picks victims.  It is deliberately minimal so that management
+policies (bypass / insertion, :mod:`repro.cache.policies`) can compose
+with any of them.
 
-All hooks receive the full list of ways for the affected set so that
-policies with set-global behaviour (e.g. RRIP aging) can be expressed.
+Every policy implements two views of the same three hooks (fill, hit,
+victim):
+
+* the **flat hooks**, the only interface the production
+  :class:`~repro.cache.cache.Cache` calls.  They address the cache's
+  packed :class:`~repro.cache.tagstore.FlatTagStore` by flat slot index
+  (``idx = set_index * ways + way``);
+* the **object hooks**, which receive one set's list of
+  :class:`~repro.cache.line.CacheLine` objects.  Only the test oracle
+  :class:`~repro.cache.reference.ReferenceCache` calls them.
+
+``tests/test_cache_equivalence.py`` drives both caches with identical
+random streams and pins the two views to bit-identical decisions.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.cache.line import CacheLine
 
@@ -25,14 +36,49 @@ __all__ = ["ReplacementPolicy"]
 class ReplacementPolicy(ABC):
     """Chooses victims and maintains per-line recency state.
 
-    Subclasses must be stateless with respect to sets (all per-line state
-    lives on the :class:`~repro.cache.line.CacheLine` itself) so that one
-    policy instance can serve an entire cache.
+    One instance serves exactly one cache: per-line state lives in the
+    cache's tag array, and :meth:`flat_bind` refuses a second cache.
     """
 
     #: Short identifier used in reports (e.g. ``"lru"``, ``"srrip"``).
     name: str = "base"
 
+    # ------------------------------------------------------------------
+    # Flat hooks (production Cache)
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def flat_bind(self, store: "FlatTagStore") -> None:
+        """Adopt ``store``'s arrays; called once by the owning cache.
+
+        Raises ``ValueError`` if the instance already serves another
+        cache's store.
+        """
+
+    @abstractmethod
+    def flat_on_fill(self, index: int, now: int) -> None:
+        """Initialise recency state of slot ``index`` after a fill."""
+
+    @abstractmethod
+    def flat_on_hit(self, index: int, now: int) -> None:
+        """Update recency state of slot ``index`` after a hit."""
+
+    @abstractmethod
+    def flat_select_victim(self, base: int, top: int, now: int) -> int:
+        """Return the *way* (not the flat index) to evict from the full
+        set occupying slots ``[base, top)``."""
+
+    def _claim(self, bound: Optional[List[int]], plane: List[int]) -> List[int]:
+        """``plane``, unless this instance is already bound to another one."""
+        if bound is not None and bound is not plane:
+            raise ValueError(
+                f"{type(self).__name__} instance already serves another "
+                f"cache; build one replacement policy per cache"
+            )
+        return plane
+
+    # ------------------------------------------------------------------
+    # Object hooks (ReferenceCache test oracle)
+    # ------------------------------------------------------------------
     @abstractmethod
     def on_fill(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
         """Initialise recency state of ``ways[way]`` after a fill."""
@@ -49,48 +95,5 @@ class ReplacementPolicy(ABC):
         filled first by the cache itself.
         """
 
-    # ------------------------------------------------------------------
-    # Flat (array-backed) fast path
-    # ------------------------------------------------------------------
-    # A policy may additionally operate directly on the cache's packed
-    # tag-store arrays (see repro.cache.tagstore).  The cache offers the
-    # store once at construction via ``flat_bind``; a policy that returns
-    # True promises that, for any access sequence, the ``flat_*`` hooks
-    # leave the store in *exactly* the state the object hooks would have
-    # left the equivalent CacheLine list in (bit-identical replacement
-    # decisions included) — the property suite in
-    # tests/test_cache_equivalence.py enforces this promise.
-    #
-    # Flat hooks receive flat slot indices: ``idx = base + way`` where
-    # ``base = set_index * ways``.  ``flat_select_victim`` returns the
-    # *way* (not the flat index), mirroring ``select_victim``.
-
-    def flat_bind(self, store: "FlatTagStore") -> bool:
-        """Adopt ``store`` for array-based updates; False = unsupported."""
-        return False
-
-    def flat_on_fill(self, index: int, now: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def flat_on_hit(self, index: int, now: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def flat_select_victim(self, base: int, top: int, now: int) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def invalid_way(self, ways: Sequence[CacheLine]) -> int:
-        """Return the index of an invalid way, or ``-1`` if the set is full."""
-        for i, line in enumerate(ways):
-            if not line.valid:
-                return i
-        return -1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__}>"
-
-
-def validate_full(ways: Sequence[CacheLine]) -> None:
-    """Debug helper: assert that every way is valid (victim precondition)."""
-    for line in ways:
-        if not line.valid:
-            raise AssertionError("select_victim called with an invalid way present")

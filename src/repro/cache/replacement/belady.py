@@ -9,8 +9,8 @@ OPT requires future knowledge, so it only works with the trace-replay
 driver (:mod:`repro.sim.replay`), which precomputes, for every access, the
 position of the *next* access to the same line and publishes it through
 :attr:`BeladyPolicy.next_use_hint` just before invoking the cache.  The
-policy stores the hint in ``CacheLine.stamp`` and evicts the line whose
-next use is furthest in the future.
+policy stores the hint in the line's ``stamp`` field and evicts the line
+whose next use is furthest in the future.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ class BeladyPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self.next_use_hint: int = NEVER
+        self._stamps = None
 
     def on_fill(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
         ways[way].stamp = self.next_use_hint
@@ -56,3 +57,18 @@ class BeladyPolicy(ReplacementPolicy):
                 furthest = ways[i].stamp
                 victim = i
         return victim
+
+    # -- flat hooks -------------------------------------------------------
+    def flat_bind(self, store) -> None:
+        self._stamps = self._claim(self._stamps, store.stamp)
+
+    def flat_on_fill(self, index: int, now: int) -> None:
+        self._stamps[index] = self.next_use_hint
+
+    def flat_on_hit(self, index: int, now: int) -> None:
+        self._stamps[index] = self.next_use_hint
+
+    def flat_select_victim(self, base: int, top: int, now: int) -> int:
+        # First maximum, like the object loop's strict ``>``.
+        seg = self._stamps[base:top]
+        return seg.index(max(seg))

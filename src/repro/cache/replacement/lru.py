@@ -1,8 +1,8 @@
-"""Classic recency-stamp replacement policies: LRU, MRU and FIFO.
+"""Least-recently-used replacement.
 
-LRU is the paper's baseline (BS) L1 replacement policy.  The stamp-based
-implementation is O(ways) per victim selection, which is exact and cheap
-at GPU associativities (4–16 ways).
+LRU is the paper's baseline (BS) L1 replacement policy and the L2's.
+The stamp-based implementation is O(ways) per victim selection, which is
+exact and cheap at GPU associativities (4–16 ways).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 from repro.cache.line import CacheLine
 from repro.cache.replacement.base import ReplacementPolicy
 
-__all__ = ["LRUPolicy", "MRUPolicy", "FIFOPolicy"]
+__all__ = ["LRUPolicy"]
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -47,15 +47,9 @@ class LRUPolicy(ReplacementPolicy):
                 victim = i
         return victim
 
-    # -- flat fast path -------------------------------------------------
-    def flat_bind(self, store) -> bool:
-        if self._stamps is not None and self._stamps is not store.stamp:
-            # Already serving another cache's arrays; that cache keeps the
-            # flat path, later caches sharing this instance fall back to
-            # the object path (both write the same per-line state).
-            return False
-        self._stamps = store.stamp
-        return True
+    # -- flat hooks -------------------------------------------------------
+    def flat_bind(self, store) -> None:
+        self._stamps = self._claim(self._stamps, store.stamp)
 
     def flat_on_fill(self, index: int, now: int) -> None:
         self._tick += 1
@@ -67,38 +61,7 @@ class LRUPolicy(ReplacementPolicy):
 
     def flat_select_victim(self, base: int, top: int, now: int) -> int:
         # Stamps are unique, so index-of-min is exact; min()+.index() are
-        # both C-speed, and first-minimum matches the object-path loop.
+        # both C-speed, and first-minimum matches the object hook.
         seg = self._stamps[base:top]
         return seg.index(min(seg))
 
-
-class MRUPolicy(LRUPolicy):
-    """Most-recently-used replacement (anti-LRU; useful for thrashing tests)."""
-
-    name = "mru"
-
-    def select_victim(self, ways: Sequence[CacheLine], now: int) -> int:
-        victim = 0
-        best = ways[0].stamp
-        for i in range(1, len(ways)):
-            if ways[i].stamp > best:
-                best = ways[i].stamp
-                victim = i
-        return victim
-
-    def flat_select_victim(self, base: int, top: int, now: int) -> int:
-        seg = self._stamps[base:top]
-        return seg.index(max(seg))
-
-
-class FIFOPolicy(LRUPolicy):
-    """First-in-first-out replacement: stamp is set on fill only."""
-
-    name = "fifo"
-
-    def on_hit(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
-        # FIFO ignores hits: eviction order is fill order.
-        pass
-
-    def flat_on_hit(self, index: int, now: int) -> None:
-        pass

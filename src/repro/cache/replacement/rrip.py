@@ -2,26 +2,19 @@
 
 The paper's BS-S design is the baseline with *3-bit SRRIP* in the L1, and
 G-Cache itself is built "on top of RRIP": line hotness is judged by RRPV
-and bypass ages RRPVs.  This module provides:
-
-* :class:`SRRIPPolicy` — static RRIP with hit-priority (RRPV=0 on hit) and
-  long-re-reference insertion (RRPV = max-1).
-* :class:`BRRIPPolicy` — bimodal RRIP: inserts at RRPV=max most of the
-  time, max-1 with low probability; resists thrashing.
-* :class:`DRRIPPolicy` — dynamic set-dueling between SRRIP and BRRIP.
-
-All of them store the prediction value in ``CacheLine.rrpv``.
+and bypass ages RRPVs.  :class:`SRRIPPolicy` is static RRIP with
+hit-priority (RRPV=0 on hit) and long-re-reference insertion
+(RRPV = max-1); it stores the prediction value in the ``rrpv`` field.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from repro.cache.line import CacheLine
 from repro.cache.replacement.base import ReplacementPolicy
 
-__all__ = ["SRRIPPolicy", "BRRIPPolicy", "DRRIPPolicy"]
+__all__ = ["SRRIPPolicy"]
 
 
 class SRRIPPolicy(ReplacementPolicy):
@@ -50,12 +43,8 @@ class SRRIPPolicy(ReplacementPolicy):
         self.insertion_rrpv = insertion_rrpv
         self._rrpvs = None
 
-    def fill_rrpv(self) -> int:
-        """RRPV to assign to a newly inserted line (hook for BRRIP)."""
-        return self.insertion_rrpv
-
     def on_fill(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
-        ways[way].rrpv = self.fill_rrpv()
+        ways[way].rrpv = self.insertion_rrpv
 
     def on_hit(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
         # Hit-priority (HP) promotion: a reused line is predicted
@@ -73,17 +62,12 @@ class SRRIPPolicy(ReplacementPolicy):
             for line in ways:
                 line.rrpv += 1
 
-    # -- flat fast path -------------------------------------------------
-    def flat_bind(self, store) -> bool:
-        if self._rrpvs is not None and self._rrpvs is not store.rrpv:
-            # One policy instance per cache is the contract; a shared
-            # instance keeps the flat path only for its first cache.
-            return False
-        self._rrpvs = store.rrpv
-        return True
+    # -- flat hooks -------------------------------------------------------
+    def flat_bind(self, store) -> None:
+        self._rrpvs = self._claim(self._rrpvs, store.rrpv)
 
     def flat_on_fill(self, index: int, now: int) -> None:
-        self._rrpvs[index] = self.fill_rrpv()
+        self._rrpvs[index] = self.insertion_rrpv
 
     def flat_on_hit(self, index: int, now: int) -> None:
         self._rrpvs[index] = 0
@@ -102,103 +86,9 @@ class SRRIPPolicy(ReplacementPolicy):
                 rrpvs[i] += delta
         elif top_val > self.max_rrpv:
             # Out-of-range RRPV planted by external code: fall back to the
-            # object path's first->=max rule rather than first-of-max.
+            # object hook's first->=max rule rather than first-of-max.
             for i, value in enumerate(seg):
                 if value >= self.max_rrpv:
                     return i
         return seg.index(top_val)
 
-
-class BRRIPPolicy(SRRIPPolicy):
-    """Bimodal RRIP: thrash-resistant insertion.
-
-    Inserts at ``max`` RRPV with probability ``1 - epsilon`` and at
-    ``max - 1`` with probability ``epsilon`` (default 1/32, per the RRIP
-    paper).  A seeded RNG keeps runs deterministic.
-    """
-
-    name = "brrip"
-
-    def __init__(self, bits: int = 3, epsilon: float = 1.0 / 32.0, seed: int = 0) -> None:
-        super().__init__(bits=bits)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.epsilon = epsilon
-        self._rng = random.Random(seed)
-
-    def fill_rrpv(self) -> int:
-        if self._rng.random() < self.epsilon:
-            return self.max_rrpv - 1
-        return self.max_rrpv
-
-
-class DRRIPPolicy(ReplacementPolicy):
-    """Dynamic RRIP via set dueling.
-
-    A handful of *leader sets* are dedicated to SRRIP and to BRRIP; a
-    saturating policy-selection counter (PSEL) tracks which leader group
-    misses less, and follower sets use the winner's insertion rule.
-
-    Set identity is communicated through :meth:`bind_set`, called by the
-    cache before each operation (the replacement interface itself is
-    set-index-agnostic).
-    """
-
-    name = "drrip"
-
-    def __init__(
-        self,
-        num_sets: int,
-        bits: int = 3,
-        dueling_sets: int = 4,
-        psel_bits: int = 10,
-        seed: int = 0,
-    ) -> None:
-        if num_sets < 2 * dueling_sets:
-            raise ValueError(
-                f"{num_sets} sets cannot host 2x{dueling_sets} leader sets"
-            )
-        self.num_sets = num_sets
-        self._srrip = SRRIPPolicy(bits=bits)
-        self._brrip = BRRIPPolicy(bits=bits, seed=seed)
-        self.max_rrpv = self._srrip.max_rrpv
-        self.psel_max = (1 << psel_bits) - 1
-        self.psel = self.psel_max // 2
-        stride = num_sets // dueling_sets
-        self.srrip_leaders = frozenset(range(0, num_sets, stride))
-        self.brrip_leaders = frozenset(
-            (s + stride // 2) % num_sets for s in self.srrip_leaders
-        )
-        self._set_index = 0
-
-    def bind_set(self, set_index: int) -> None:
-        """Tell the policy which set the next hooks refer to."""
-        self._set_index = set_index
-
-    def record_miss(self, set_index: int) -> None:
-        """Update PSEL when a leader set misses.
-
-        A miss in an SRRIP leader is evidence against SRRIP (PSEL up);
-        a miss in a BRRIP leader is evidence against BRRIP (PSEL down).
-        """
-        if set_index in self.srrip_leaders:
-            self.psel = min(self.psel_max, self.psel + 1)
-        elif set_index in self.brrip_leaders:
-            self.psel = max(0, self.psel - 1)
-
-    def _insertion_policy(self) -> SRRIPPolicy:
-        if self._set_index in self.srrip_leaders:
-            return self._srrip
-        if self._set_index in self.brrip_leaders:
-            return self._brrip
-        # Followers: PSEL below midpoint favours SRRIP.
-        return self._srrip if self.psel < (self.psel_max + 1) // 2 else self._brrip
-
-    def on_fill(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
-        ways[way].rrpv = self._insertion_policy().fill_rrpv()
-
-    def on_hit(self, ways: Sequence[CacheLine], way: int, now: int) -> None:
-        ways[way].rrpv = 0
-
-    def select_victim(self, ways: Sequence[CacheLine], now: int) -> int:
-        return self._srrip.select_victim(ways, now)

@@ -11,13 +11,11 @@ proposals restructure it: one flat parallel array per field, indexed by
 * The **tag scan** becomes a single C-speed ``list.index`` call over the
   set's slice of the ``tag`` array instead of a Python loop over objects.
 * **Replacement state** (RRPV / recency stamps) lives in flat integer
-  arrays that RRIP/LRU-family policies can update and scan without ever
-  materialising a line object (see ``flat_bind`` in
-  :mod:`repro.cache.replacement.base`).
-* The object API survives as :class:`CacheLineView` — a 16-byte proxy
-  whose properties read and write the packed arrays — so management
-  policies, the observability layer, and every existing test keep
-  working against ``cache.sets[s][w].rrpv`` unchanged.
+  arrays that the replacement policies update and scan through their
+  ``flat_*`` hooks (see :mod:`repro.cache.replacement.base`).
+* Every other reader (management policies, the victim-bit directory,
+  diagnostics and tests) indexes the same arrays: one line's state is
+  ``store.<field>[set_index * ways + way]``.
 
 Plain Python lists are used rather than ``array('q')``: CPython stores
 small ints as shared pointers, so list element access avoids the
@@ -35,16 +33,16 @@ Invariants maintained by :class:`~repro.cache.cache.Cache`:
   the fill path knows without scanning whether a free way exists).
 
 Both invariants are *defensively re-checked* where cheap: the lookup
-scan confirms ``valid`` before declaring a hit, so even direct
-``view.valid = False`` writes from diagnostic code cannot corrupt
-results.
+scan confirms ``valid`` before declaring a hit, so even a direct
+``store.valid[i] = 0`` write from diagnostic code cannot produce a
+false hit.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-__all__ = ["FlatTagStore", "CacheLineView"]
+__all__ = ["FlatTagStore"]
 
 
 class FlatTagStore:
@@ -91,7 +89,7 @@ class FlatTagStore:
         self.valid_count: List[int] = [0] * num_sets
 
     # ------------------------------------------------------------------
-    # Slot lifecycle (shared by Cache and CacheLineView)
+    # Slot lifecycle
     # ------------------------------------------------------------------
     def fill_slot(self, index: int, tag: int, now: int) -> None:
         """Begin a new generation in ``index`` (mirrors ``CacheLine.fill``)."""
@@ -123,74 +121,3 @@ class FlatTagStore:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FlatTagStore {self.num_sets}x{self.ways}>"
 
-
-def _field(name: str):
-    """Build a property proxying one packed array field."""
-
-    def fget(self):
-        return getattr(self._store, name)[self._index]
-
-    def fset(self, value):
-        getattr(self._store, name)[self._index] = value
-
-    return property(fget, fset, doc=f"Packed `{name}` field of this entry.")
-
-
-class CacheLineView:
-    """One tag entry viewed through the :class:`CacheLine` attribute API.
-
-    Views are allocated once per slot at cache construction and returned
-    by ``cache.sets[s][w]`` / ``LookupResult.line``; reads and writes go
-    straight through to the packed arrays, so a view is always current.
-    """
-
-    __slots__ = ("_store", "_index")
-
-    def __init__(self, store: FlatTagStore, index: int) -> None:
-        self._store = store
-        self._index = index
-
-    tag = _field("tag")
-    rrpv = _field("rrpv")
-    stamp = _field("stamp")
-    use_count = _field("use_count")
-    fill_time = _field("fill_time")
-    last_access = _field("last_access")
-    pd_counter = _field("pd_counter")
-    victim_bits = _field("victim_bits")
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._store.valid[self._index])
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        store, index = self._store, self._index
-        new = 1 if value else 0
-        if store.valid[index] != new:
-            store.valid[index] = new
-            store.valid_count[index // store.ways] += 1 if new else -1
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._store.dirty[self._index])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._store.dirty[self._index] = 1 if value else 0
-
-    def fill(self, tag: int, now: int) -> None:
-        """Begin a new generation holding ``tag``, filled at time ``now``."""
-        self._store.fill_slot(self._index, tag, now)
-
-    def reset(self) -> None:
-        """Invalidate the entry and clear all generation state."""
-        self._store.reset_slot(self._index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if not self.valid:
-            return "<CacheLineView invalid>"
-        return (
-            f"<CacheLineView tag={self.tag:#x} rrpv={self.rrpv} "
-            f"uses={self.use_count} dirty={self.dirty}>"
-        )

@@ -17,7 +17,7 @@ Storage overhead accounting matches the paper's formula
 
 from __future__ import annotations
 
-from repro.cache.line import CacheLine
+from repro.cache.tagstore import FlatTagStore
 
 __all__ = ["VictimBitDirectory"]
 
@@ -54,35 +54,24 @@ class VictimBitDirectory:
             raise ValueError(f"src_id {src_id} out of range [0, {self.num_l1s})")
         return src_id // self.share_factor
 
-    def observe(self, line: CacheLine, src_id: int) -> bool:
-        """Record that the L2 served ``line`` to ``src_id``.
+    def observe(self, store: FlatTagStore, idx: int, src_id: int) -> bool:
+        """Record that the L2 served slot ``idx`` of ``store`` to ``src_id``.
 
         Returns the *previous* value of the requester's bit — the victim
         hint attached to the response.  ``True`` means this L1 (group)
         already fetched the line during the current L2 generation:
-        contention detected.
+        contention detected.  The bits clear when the slot is refilled
+        (:meth:`~repro.cache.tagstore.FlatTagStore.fill_slot`).
         """
         mask = self._masks[src_id]
-        store = getattr(line, "_store", None)
-        if store is not None:
-            # Array-backed line view: read-modify-write the packed field
-            # directly instead of two property round-trips.
-            vb = store.victim_bits
-            idx = line._index
-            prev = vb[idx]
-            vb[idx] = prev | mask
-        else:
-            prev = line.victim_bits
-            line.victim_bits = prev | mask
+        vb = store.victim_bits
+        prev = vb[idx]
+        vb[idx] = prev | mask
         hint = (prev & mask) != 0
         self.hints_returned += 1
         if hint:
             self.contentions_detected += 1
         return hint
-
-    def clear(self, line: CacheLine) -> None:
-        """Reset the line's history (called on L2 eviction)."""
-        line.victim_bits = 0
 
     def storage_overhead_bits(self, num_sets: int, num_ways: int) -> int:
         """Total victim-bit storage: ``(P / S_v) x N x M`` bits."""

@@ -192,7 +192,6 @@ class MemorySystem:
         idx = bank.lookup_fast(local, at, is_write=is_write)
         if idx >= 0:
             data_time = at + self._l2_hit_latency
-            line = bank._views[idx]
         else:
             # Miss: fetch the line from DRAM and write-allocate.  A store
             # that covers the full line skips the fetch (write-validate).
@@ -218,14 +217,12 @@ class MemorySystem:
                     line=fill.evicted_tag, set=fill.set_index,
                 )
             data_time = dram_done
-            if fill.inserted or fill.already_present:
-                line = bank.sets[fill.set_index][fill.way]
-            else:  # pragma: no cover - L2 never bypasses in this model
-                line = None
+            # The L2 never bypasses, so the fill always names a way.
+            idx = fill.set_index * bank.ways + fill.way
 
         hint = False
-        if self.victim_dir is not None and not is_write and line is not None:
-            hint = self.victim_dir.observe(line, core_id)
+        if self.victim_dir is not None and not is_write:
+            hint = self.victim_dir.observe(bank.store, idx, core_id)
             if self.obs is not None:
                 self.obs.emit(
                     EV_VICTIM_SET, data_time, f"L2[{part}]",

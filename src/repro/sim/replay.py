@@ -294,16 +294,14 @@ def replay(
             return False
         bank = l2s[addr_map.partition(line)]
         local = addr_map.local(line)
-        res = bank.lookup(local, now, is_write=is_write)
-        if res.hit:
-            line_obj = res.line
-        else:
+        idx = bank.lookup_fast(local, now, is_write=is_write)
+        if idx < 0:
             fill = bank.fill(
                 local, now, FillContext(line_addr=local, src_id=core, is_write=is_write)
             )
-            line_obj = bank.sets[fill.set_index][fill.way]
+            idx = fill.set_index * bank.ways + fill.way
         if victim_dir is not None and not is_write:
-            return victim_dir.observe(line_obj, core)
+            return victim_dir.observe(bank.store, idx, core)
         return False
 
     positions = [0] * len(streams)

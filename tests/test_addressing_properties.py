@@ -115,8 +115,10 @@ def test_cache_set_tag_decomposition(addrs):
     for now, addr in enumerate(addrs, start=1):
         if not cache.lookup(addr, now).hit:
             cache.fill(addr, now, FillContext(line_addr=addr, src_id=0))
-    for set_index, lines in enumerate(cache.sets):
-        tags = [ln.tag for ln in lines if ln.valid]
+    store = cache.store
+    for set_index in range(cache.num_sets):
+        slots = range(set_index * cache.ways, (set_index + 1) * cache.ways)
+        tags = [store.tag[i] for i in slots if store.valid[i]]
         assert len(tags) == len(set(tags)), f"duplicate tag in set {set_index}"
         for tag in tags:
             assert cache.set_index(tag) == set_index

@@ -45,6 +45,16 @@ class TestGeometry:
         assert cache.set_index(8) == 1
 
 
+class TestReplacementBinding:
+    @pytest.mark.parametrize("make", [LRUPolicy, lambda: SRRIPPolicy(bits=3)],
+                             ids=["lru", "srrip"])
+    def test_policy_shared_with_another_cache_is_refused(self, make):
+        policy = make()
+        Cache("L1a", 1024, 2, LINE, policy)
+        with pytest.raises(ValueError, match="another cache"):
+            Cache("L1b", 1024, 2, LINE, policy)
+
+
 class TestLookupAndFill:
     def test_cold_miss(self):
         cache = l1()
@@ -57,7 +67,8 @@ class TestLookupAndFill:
         cache.fill(0, now=0)
         result = cache.lookup(0, now=1)
         assert result.hit
-        assert result.line.use_count == 1
+        slot = result.set_index * cache.ways + result.way
+        assert cache.store.use_count[slot] == 1
 
     def test_fill_already_present(self):
         cache = l1()
@@ -98,19 +109,20 @@ class TestWriteSemantics:
         cache.fill(0, now=0)
         res = cache.lookup(0, now=1, is_write=True)
         assert res.hit
-        assert not res.line.dirty
+        assert not cache.store.dirty[res.set_index * cache.ways + res.way]
 
     def test_write_back_hit_sets_dirty(self):
         cache = l2()
         cache.fill(0, now=0)
         res = cache.lookup(0, now=1, is_write=True)
-        assert res.line.dirty
+        assert res.hit
+        assert cache.store.dirty[res.set_index * cache.ways + res.way]
 
     def test_write_allocate_fill_dirty(self):
         cache = l2()
         ctx = FillContext(line_addr=0, is_write=True)
         res = cache.fill(0, now=0, ctx=ctx)
-        assert cache.sets[res.set_index][res.way].dirty
+        assert cache.store.dirty[res.set_index * cache.ways + res.way]
 
     def test_dirty_eviction_reports_writeback(self):
         cache = l2(size=512, ways=2)  # 2 sets

@@ -1,13 +1,13 @@
 """Equivalence property suite: array-backed Cache vs the reference model.
 
 The production :class:`~repro.cache.cache.Cache` stores tag-array state in
-flat parallel arrays (:mod:`repro.cache.tagstore`) and routes hot
-replacement policies through index-based fast paths.  This suite drives it
-and the retained object-per-line :class:`~repro.cache.reference.ReferenceCache`
-with *identical* random access streams and asserts bit-identical
-behaviour: every lookup's hit/way, every fill's insert/bypass/eviction/
-writeback, every invalidate, the final statistics counters, and the final
-per-line tag-array state.
+flat parallel arrays (:mod:`repro.cache.tagstore`) and calls the
+replacement policies' index-based flat hooks.  This suite drives it and the
+retained object-per-line :class:`~repro.cache.reference.ReferenceCache`,
+which calls their object hooks, with *identical* random access streams and
+asserts bit-identical behaviour: every lookup's hit/way, every fill's
+insert/bypass/eviction/writeback, every invalidate, the final statistics
+counters, and the final per-line tag-array state.
 
 Any divergence here means the tag-store rewrite changed simulation
 semantics — exactly the regression the golden-number fixtures would catch
@@ -25,8 +25,9 @@ from repro.cache.policies.base import FillContext
 from repro.cache.policies.dead_block import DeadBlockPolicy
 from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
 from repro.cache.reference import ReferenceCache
-from repro.cache.replacement.lru import FIFOPolicy, LRUPolicy, MRUPolicy
-from repro.cache.replacement.rrip import BRRIPPolicy, SRRIPPolicy
+from repro.cache.replacement.belady import NEVER, BeladyPolicy
+from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.core.gcache import GCacheConfig, GCachePolicy
 
 # Tiny geometry so random streams produce constant conflict pressure:
@@ -38,14 +39,13 @@ SIZE = NUM_SETS * WAYS * LINE
 ADDR_SPACE = NUM_SETS * 8
 
 # Each entry builds a *fresh* policy pair per cache: replacement policies
-# carry per-cache state (LRU ticks, BRRIP RNG), so the two implementations
-# must get independent but identically-seeded instances.
+# carry per-cache state (LRU ticks), so the two implementations must get
+# independent instances.
 CONFIGS = {
     "lru": lambda: dict(replacement=LRUPolicy()),
-    "mru": lambda: dict(replacement=MRUPolicy()),
-    "fifo": lambda: dict(replacement=FIFOPolicy()),
     "srrip": lambda: dict(replacement=SRRIPPolicy(bits=2)),
-    "brrip": lambda: dict(replacement=BRRIPPolicy(bits=2, seed=7)),
+    # Belady OPT; _drive feeds it each op's real next-use position.
+    "opt": lambda: dict(replacement=BeladyPolicy()),
     "srrip-gcache": lambda: dict(
         replacement=SRRIPPolicy(bits=2),
         mgmt=GCachePolicy(GCacheConfig(shutdown_interval=64)),
@@ -98,12 +98,27 @@ def _build(cls, key: str):
     return cls(**kwargs)
 
 
+def _next_uses(ops):
+    """Position of the next op on the same line address, or NEVER."""
+    nxt = [NEVER] * len(ops)
+    seen = {}
+    for pos in range(len(ops) - 1, -1, -1):
+        addr = ops[pos][1]
+        nxt[pos] = seen.get(addr, NEVER)
+        seen[addr] = pos
+    return nxt
+
+
 def _drive(cache, ops):
     """Apply the op stream; return the full observable event trace."""
     trace = []
     now = 0
-    for kind, addr, flag in ops:
+    belady = cache.replacement if isinstance(cache.replacement, BeladyPolicy) else None
+    next_uses = _next_uses(ops) if belady is not None else None
+    for pos, (kind, addr, flag) in enumerate(ops):
         now += 1
+        if belady is not None:
+            belady.next_use_hint = next_uses[pos]
         if kind == 2:
             trace.append(("inv", cache.invalidate(addr, now)))
             continue
@@ -133,12 +148,18 @@ def _drive(cache, ops):
 
 
 def _line_state(cache):
-    return [
-        [
+    """Per-slot (valid, tag, dirty, rrpv, stamp, pd_counter), set-major."""
+    if isinstance(cache, ReferenceCache):
+        return [
             (ln.valid, ln.tag, ln.dirty, ln.rrpv, ln.stamp, ln.pd_counter)
+            for s in cache.sets
             for ln in s
         ]
-        for s in cache.sets
+    st = cache.store
+    return [
+        (bool(st.valid[i]), st.tag[i], bool(st.dirty[i]), st.rrpv[i],
+         st.stamp[i], st.pd_counter[i])
+        for i in range(st.size)
     ]
 
 

@@ -19,6 +19,15 @@ def gcache(sets=2, ways=2, config=None):
     return cache, policy
 
 
+def set0_rrpvs(cache):
+    """RRPVs of set 0, whose ways are slots ``0 .. ways-1``."""
+    return cache.store.rrpv[: cache.ways]
+
+
+def set_set0_rrpvs(cache, value):
+    cache.store.rrpv[: cache.ways] = [value] * cache.ways
+
+
 def hot_fill(cache, line, now):
     """Fill with a victim hint (contention-detected block)."""
     return cache.fill(line, now, FillContext(line, victim_hint=True))
@@ -114,7 +123,7 @@ class TestBypassDecision:
         cache, pol = gcache()
         hot_fill(cache, 0, now=0)
         cache.fill(2, now=1)
-        cache.sets[0][cache.find_way(2)].rrpv = 7  # eviction candidate
+        cache.store.rrpv[cache.find_way(2)] = 7  # eviction candidate (set 0)
         result = cache.fill(4, now=2)
         assert result.inserted
 
@@ -125,8 +134,7 @@ class TestBypassDecision:
         cache, pol = gcache()
         hot_fill(cache, 0, now=0)
         hot_fill(cache, 2, now=1)
-        for way in cache.sets[0]:
-            way.rrpv = pol.th_hot_victim  # stale enough for a hint block
+        set_set0_rrpvs(cache, pol.th_hot_victim)  # stale enough for a hint block
         cold = cache.fill(4, now=2)
         assert cold.bypassed
         hot = hot_fill(cache, 6, now=3)
@@ -138,8 +146,7 @@ class TestBypassDecision:
         cache, pol = gcache()
         hot_fill(cache, 0, now=0)
         hot_fill(cache, 2, now=1)
-        for way in cache.sets[0]:
-            way.rrpv = 1
+        set_set0_rrpvs(cache, 1)
         assert hot_fill(cache, 6, now=3).bypassed
 
 
@@ -148,19 +155,18 @@ class TestAgingOnBypass:
         cache, pol = gcache()
         hot_fill(cache, 0, now=0)
         hot_fill(cache, 2, now=1)
-        before = [line.rrpv for line in cache.sets[0]]
+        before = set0_rrpvs(cache)
         cache.fill(4, now=2)  # bypassed
-        after = [line.rrpv for line in cache.sets[0]]
+        after = set0_rrpvs(cache)
         assert after == [b + 1 for b in before]
 
     def test_rrpv_saturates_at_max(self):
         cache, pol = gcache()
         hot_fill(cache, 0, now=0)
         hot_fill(cache, 2, now=1)
-        for way in cache.sets[0]:
-            way.rrpv = 6
+        set_set0_rrpvs(cache, 6)
         cache.fill(4, now=2)
-        assert all(line.rrpv == 7 for line in cache.sets[0])
+        assert all(rrpv == 7 for rrpv in set0_rrpvs(cache))
 
     def test_persistent_bypass_eventually_inserts(self):
         # The anti-starvation property from Fig. 7: a block that keeps
@@ -180,17 +186,17 @@ class TestInsertionPolicy:
     def test_hint_block_inserts_near_mru(self):
         cache, pol = gcache()
         result = hot_fill(cache, 0, now=0)
-        assert cache.sets[0][result.way].rrpv == 0
+        assert cache.store.rrpv[result.way] == 0  # set 0
 
     def test_cold_block_inserts_distant(self):
         cache, pol = gcache()
         result = cache.fill(0, now=0)
-        assert cache.sets[0][result.way].rrpv == 6  # SRRIP long
+        assert cache.store.rrpv[result.way] == 6  # set 0; SRRIP long
 
     def test_cold_insert_override(self):
         cache, pol = gcache(config=GCacheConfig(cold_insert_rrpv=7))
         result = cache.fill(0, now=0)
-        assert cache.sets[0][result.way].rrpv == 7
+        assert cache.store.rrpv[result.way] == 7  # set 0
 
 
 class TestMthBypassAging:
@@ -200,11 +206,11 @@ class TestMthBypassAging:
         pol.m = 2
         hot_fill(cache, 0, now=0)
         hot_fill(cache, 2, now=1)
-        before = [line.rrpv for line in cache.sets[0]]
+        before = set0_rrpvs(cache)
         cache.fill(4, now=2)  # 1st bypass: no aging
-        assert [l.rrpv for l in cache.sets[0]] == before
+        assert set0_rrpvs(cache) == before
         cache.fill(6, now=3)  # 2nd bypass: aging
-        assert [l.rrpv for l in cache.sets[0]] == [b + 1 for b in before]
+        assert set0_rrpvs(cache) == [b + 1 for b in before]
 
     def test_adaptive_m_grows_under_contention(self):
         cfg = GCacheConfig(adaptive_aging=True, aging_epoch=4)

@@ -39,13 +39,11 @@ def run_mix(design: str, accesses):
     for now, line in enumerate(accesses):
         if l1.lookup(line, now).hit:
             continue
-        res = l2.lookup(line, now)
-        if res.hit:
-            l2_line = res.line
-        else:
+        l2_slot = l2.lookup_fast(line, now)
+        if l2_slot < 0:
             fill = l2.fill(line, now, FillContext(line))
-            l2_line = l2.sets[fill.set_index][fill.way]
-        hint = directory.observe(l2_line, 0) if hints else False
+            l2_slot = fill.set_index * l2.ways + fill.way
+        hint = directory.observe(l2.store, l2_slot, 0) if hints else False
         l1.fill(line, now, FillContext(line, victim_hint=hint))
     return l1.stats
 
@@ -101,13 +99,11 @@ class TestBootstrapCascade:
                 stats_at_half = (l1.stats.accesses, l1.stats.hits)
             if l1.lookup(line, now).hit:
                 continue
-            res = l2.lookup(line, now)
-            if res.hit:
-                l2_line = res.line
-            else:
+            l2_slot = l2.lookup_fast(line, now)
+            if l2_slot < 0:
                 fill = l2.fill(line, now, FillContext(line))
-                l2_line = l2.sets[fill.set_index][fill.way]
-            hint = directory.observe(l2_line, 0)
+                l2_slot = fill.set_index * l2.ways + fill.way
+            hint = directory.observe(l2.store, l2_slot, 0)
             l1.fill(line, now, FillContext(line, victim_hint=hint))
         acc0, hit0 = stats_at_half
         first_half_miss = 1 - hit0 / acc0
@@ -128,13 +124,11 @@ class TestFigure7Walkthrough:
         def access(line, now):
             if l1.lookup(line, now).hit:
                 return "hit"
-            res = l2.lookup(line, now)
-            if res.hit:
-                l2_line = res.line
-            else:
+            l2_slot = l2.lookup_fast(line, now)
+            if l2_slot < 0:
                 fill = l2.fill(line, now, FillContext(line))
-                l2_line = l2.sets[fill.set_index][fill.way]
-            hint = directory.observe(l2_line, 0)
+                l2_slot = fill.set_index * l2.ways + fill.way
+            hint = directory.observe(l2.store, l2_slot, 0)
             result = l1.fill(line, now, FillContext(line, victim_hint=hint))
             return "bypass" if result.bypassed else "fill"
 

@@ -24,21 +24,21 @@ class TestStaticPDPProtection:
     def test_fresh_fill_is_protected(self):
         cache, pol = pdp_cache(pd=4)
         cache.fill(0, now=0)
-        assert cache.sets[0][0].pd_counter > 0
+        assert cache.store.pd_counter[0] > 0
 
     def test_protection_decays_with_set_accesses(self):
         cache, pol = pdp_cache(pd=2)
         cache.fill(0, now=0)
         cache.lookup(2, now=1)   # miss in same set decrements
         cache.lookup(2, now=2)
-        assert cache.sets[0][0].pd_counter == 0
+        assert cache.store.pd_counter[0] == 0
 
     def test_hit_reprotects(self):
         cache, pol = pdp_cache(pd=2)
         cache.fill(0, now=0)
         cache.lookup(2, now=1)
         cache.lookup(0, now=2)   # hit: PDC reset
-        assert cache.sets[0][0].pd_counter == pol.initial_pdc
+        assert cache.store.pd_counter[0] == pol.initial_pdc
 
     def test_bypass_when_all_protected(self):
         cache, pol = pdp_cache(pd=8, ways=2)
@@ -89,11 +89,11 @@ class TestQuantizedCounters:
     def test_quantized_decrement_cadence(self):
         cache, pol = pdp_cache(pd=14, counter_bits=3)  # step=2
         cache.fill(0, now=0)
-        start = cache.sets[0][0].pd_counter
+        start = cache.store.pd_counter[0]
         cache.lookup(2, now=1)  # 1st access: no decrement (step boundary)
-        assert cache.sets[0][0].pd_counter == start
+        assert cache.store.pd_counter[0] == start
         cache.lookup(2, now=2)  # 2nd access: decrement
-        assert cache.sets[0][0].pd_counter == start - 1
+        assert cache.store.pd_counter[0] == start - 1
 
 
 class TestOptimalPDEstimator:

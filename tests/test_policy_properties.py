@@ -8,7 +8,7 @@ from repro.cache.policies.base import FillContext
 from repro.cache.policies.dead_block import DeadBlockPolicy
 from repro.cache.policies.pdp import StaticPDPPolicy, optimal_pd
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.replacement.rrip import DRRIPPolicy, SRRIPPolicy
+from repro.cache.replacement.rrip import SRRIPPolicy
 
 LINE = 128
 
@@ -32,9 +32,8 @@ class TestPDPProperties:
         pol = StaticPDPPolicy(pd=pd, counter_bits=3)
         cache = Cache("c", 1024, 2, LINE, LRUPolicy(), mgmt=pol)
         drive(cache, seq)
-        for ways in cache.sets:
-            for line in ways:
-                assert 0 <= line.pd_counter <= pol.counter_max
+        for pd_counter in cache.store.pd_counter:
+            assert 0 <= pd_counter <= pol.counter_max
 
     @given(access_seqs, st.integers(min_value=1, max_value=40))
     @settings(max_examples=50, deadline=None)
@@ -58,26 +57,6 @@ class TestPDPProperties:
         total = sum(rdd) + extra
         pd = optimal_pd(list(rdd), total, max_pd=96)
         assert 1 <= pd <= 96
-
-
-class TestDRRIPInCache:
-    @given(access_seqs)
-    @settings(max_examples=40, deadline=None)
-    def test_psel_stays_in_range(self, seq):
-        pol = DRRIPPolicy(num_sets=8)
-        cache = Cache("c", 8 * 2 * LINE, 2, LINE, pol)
-        drive(cache, seq)
-        assert 0 <= pol.psel <= pol.psel_max
-
-    @given(access_seqs)
-    @settings(max_examples=40, deadline=None)
-    def test_rrpv_bounded(self, seq):
-        pol = DRRIPPolicy(num_sets=8)
-        cache = Cache("c", 8 * 2 * LINE, 2, LINE, pol)
-        drive(cache, seq)
-        for ways in cache.sets:
-            for line in ways:
-                assert 0 <= line.rrpv <= pol.max_rrpv
 
 
 class TestDeadBlockProperties:

@@ -57,10 +57,10 @@ class TestCacheInvariants:
     def test_lines_stay_in_their_set(self, seq):
         cache = Cache("c", 1024, 2, LINE, LRUPolicy())
         drive(cache, seq)
-        for set_index, ways in enumerate(cache.sets):
-            for line in ways:
-                if line.valid:
-                    assert cache.set_index(line.tag) == set_index
+        store = cache.store
+        for slot in range(store.size):
+            if store.valid[slot]:
+                assert cache.set_index(store.tag[slot]) == slot // cache.ways
 
     @given(access_seqs)
     @settings(max_examples=60, deadline=None)
@@ -96,18 +96,16 @@ class TestCacheInvariants:
         resident = cache.resident_lines()
         assert len(resident) == len(set(resident))
         max_rrpv = cache.replacement.max_rrpv
-        for ways in cache.sets:
-            for line in ways:
-                assert 0 <= line.rrpv <= max_rrpv
+        for rrpv in cache.store.rrpv:
+            assert 0 <= rrpv <= max_rrpv
 
     @given(access_seqs)
     @settings(max_examples=40, deadline=None)
     def test_rrpv_bounded_under_srrip(self, seq):
         cache = Cache("c", 1024, 2, LINE, SRRIPPolicy(3))
         drive(cache, seq)
-        for ways in cache.sets:
-            for line in ways:
-                assert 0 <= line.rrpv <= 7
+        for rrpv in cache.store.rrpv:
+            assert 0 <= rrpv <= 7
 
 
 class TestBeladyOptimality:

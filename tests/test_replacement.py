@@ -1,20 +1,13 @@
-"""Unit tests for the replacement-policy family."""
+"""Unit tests for the replacement policies' object hooks."""
 
 import pytest
 
 from repro.cache.line import CacheLine
 from repro.cache.replacement import (
-    BRRIPPolicy,
     BeladyPolicy,
-    DRRIPPolicy,
-    FIFOPolicy,
     LRUPolicy,
-    MRUPolicy,
     NEVER,
-    NRUPolicy,
-    RandomPolicy,
     SRRIPPolicy,
-    make_replacement,
 )
 
 
@@ -48,24 +41,6 @@ class TestLRU:
         for i in range(3):
             pol.on_fill(ways, i, now=i)
         assert pol.select_victim(ways, now=5) == 0
-
-
-class TestMRUAndFIFO:
-    def test_mru_evicts_most_recent(self):
-        pol = MRUPolicy()
-        ways = make_ways(3)
-        for i in range(3):
-            pol.on_fill(ways, i, now=i)
-        pol.on_hit(ways, 0, now=9)
-        assert pol.select_victim(ways, now=10) == 0
-
-    def test_fifo_ignores_hits(self):
-        pol = FIFOPolicy()
-        ways = make_ways(2)
-        pol.on_fill(ways, 0, now=0)
-        pol.on_fill(ways, 1, now=1)
-        pol.on_hit(ways, 0, now=5)  # must not rescue way 0
-        assert pol.select_victim(ways, now=6) == 0
 
 
 class TestSRRIP:
@@ -119,97 +94,6 @@ class TestSRRIP:
         assert ways[0].rrpv == 7
 
 
-class TestBRRIP:
-    def test_mostly_inserts_at_max(self):
-        pol = BRRIPPolicy(bits=3, epsilon=0.0)
-        assert all(pol.fill_rrpv() == 7 for _ in range(20))
-
-    def test_epsilon_one_inserts_long(self):
-        pol = BRRIPPolicy(bits=3, epsilon=1.0)
-        assert all(pol.fill_rrpv() == 6 for _ in range(20))
-
-    def test_deterministic_given_seed(self):
-        a = [BRRIPPolicy(seed=7).fill_rrpv() for _ in range(50)]
-        b = [BRRIPPolicy(seed=7).fill_rrpv() for _ in range(50)]
-        assert a == b
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            BRRIPPolicy(epsilon=1.5)
-
-
-class TestDRRIP:
-    def test_leader_sets_disjoint(self):
-        pol = DRRIPPolicy(num_sets=64)
-        assert not (pol.srrip_leaders & pol.brrip_leaders)
-
-    def test_psel_moves_on_leader_misses(self):
-        pol = DRRIPPolicy(num_sets=64)
-        start = pol.psel
-        leader = next(iter(pol.srrip_leaders))
-        pol.record_miss(leader)
-        assert pol.psel == start + 1
-        brrip_leader = next(iter(pol.brrip_leaders))
-        pol.record_miss(brrip_leader)
-        pol.record_miss(brrip_leader)
-        assert pol.psel == start - 1
-
-    def test_follower_miss_does_not_move_psel(self):
-        pol = DRRIPPolicy(num_sets=64)
-        start = pol.psel
-        follower = next(
-            s for s in range(64)
-            if s not in pol.srrip_leaders and s not in pol.brrip_leaders
-        )
-        pol.record_miss(follower)
-        assert pol.psel == start
-
-    def test_requires_enough_sets(self):
-        with pytest.raises(ValueError):
-            DRRIPPolicy(num_sets=4, dueling_sets=4)
-
-    def test_insertion_uses_srrip_in_srrip_leader(self):
-        pol = DRRIPPolicy(num_sets=64)
-        ways = make_ways(1)
-        pol.bind_set(next(iter(pol.srrip_leaders)))
-        pol.on_fill(ways, 0, now=0)
-        assert ways[0].rrpv == 6
-
-
-class TestNRU:
-    def test_is_one_bit_rrip(self):
-        pol = NRUPolicy()
-        assert pol.max_rrpv == 1
-
-    def test_insert_referenced(self):
-        pol = NRUPolicy()
-        ways = make_ways(2)
-        pol.on_fill(ways, 0, now=0)
-        assert ways[0].rrpv == 0
-
-    def test_victim_clears_bits_when_all_referenced(self):
-        pol = NRUPolicy()
-        ways = make_ways(2)
-        ways[0].rrpv = ways[1].rrpv = 0
-        victim = pol.select_victim(ways, now=0)
-        assert victim == 0
-        assert ways[1].rrpv == 1
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        ways = make_ways(4)
-        a = [RandomPolicy(seed=3).select_victim(ways, 0) for _ in range(1)]
-        b = [RandomPolicy(seed=3).select_victim(ways, 0) for _ in range(1)]
-        assert a == b
-
-    def test_victim_in_range(self):
-        pol = RandomPolicy(seed=0)
-        ways = make_ways(4)
-        for _ in range(50):
-            assert 0 <= pol.select_victim(ways, 0) < 4
-
-
 class TestBelady:
     def test_evicts_furthest_next_use(self):
         pol = BeladyPolicy()
@@ -227,19 +111,3 @@ class TestBelady:
         pol.next_use_hint = NEVER
         pol.on_fill(ways, 1, now=0)
         assert pol.select_victim(ways, now=0) == 1
-
-
-class TestRegistry:
-    @pytest.mark.parametrize(
-        "name", ["lru", "mru", "fifo", "nru", "random", "srrip", "brrip", "opt"]
-    )
-    def test_make_replacement(self, name):
-        assert make_replacement(name).name in (name, "opt")
-
-    def test_drrip_needs_sets(self):
-        pol = make_replacement("drrip", num_sets=64)
-        assert pol.name == "drrip"
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
-            make_replacement("clock")

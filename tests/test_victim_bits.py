@@ -2,47 +2,42 @@
 
 import pytest
 
-from repro.cache.line import CacheLine
+from repro.cache.tagstore import FlatTagStore
 from repro.core.victim_bits import VictimBitDirectory
+
+
+def filled_store(tag=1):
+    """A one-slot tag store holding ``tag`` in slot 0."""
+    store = FlatTagStore(1, 1)
+    store.fill_slot(0, tag, now=0)
+    return store
 
 
 class TestObservation:
     def test_first_request_no_hint(self):
         directory = VictimBitDirectory(num_l1s=4)
-        line = CacheLine()
-        line.fill(1, now=0)
-        assert directory.observe(line, src_id=0) is False
+        store = filled_store()
+        assert directory.observe(store, 0, src_id=0) is False
 
     def test_second_request_same_core_detects_contention(self):
         directory = VictimBitDirectory(num_l1s=4)
-        line = CacheLine()
-        line.fill(1, now=0)
-        directory.observe(line, src_id=0)
-        assert directory.observe(line, src_id=0) is True
+        store = filled_store()
+        directory.observe(store, 0, src_id=0)
+        assert directory.observe(store, 0, src_id=0) is True
         assert directory.contentions_detected == 1
 
     def test_requests_from_different_cores_independent(self):
         directory = VictimBitDirectory(num_l1s=4)
-        line = CacheLine()
-        line.fill(1, now=0)
-        directory.observe(line, src_id=0)
-        assert directory.observe(line, src_id=1) is False
+        store = filled_store()
+        directory.observe(store, 0, src_id=0)
+        assert directory.observe(store, 0, src_id=1) is False
 
     def test_l2_eviction_clears_history(self):
         directory = VictimBitDirectory(num_l1s=4)
-        line = CacheLine()
-        line.fill(1, now=0)
-        directory.observe(line, src_id=0)
-        line.fill(2, now=1)  # new generation resets victim bits
-        assert directory.observe(line, src_id=0) is False
-
-    def test_explicit_clear(self):
-        directory = VictimBitDirectory(num_l1s=4)
-        line = CacheLine()
-        line.fill(1, now=0)
-        directory.observe(line, src_id=0)
-        directory.clear(line)
-        assert line.victim_bits == 0
+        store = filled_store()
+        directory.observe(store, 0, src_id=0)
+        store.fill_slot(0, 2, now=1)  # new generation resets victim bits
+        assert directory.observe(store, 0, src_id=0) is False
 
     def test_src_id_validated(self):
         directory = VictimBitDirectory(num_l1s=4)
@@ -61,10 +56,9 @@ class TestSharing:
         # The paper's accuracy/overhead trade-off: cores sharing a bit see
         # each other's history as (false) contention.
         directory = VictimBitDirectory(num_l1s=16, share_factor=16)
-        line = CacheLine()
-        line.fill(1, now=0)
-        directory.observe(line, src_id=0)
-        assert directory.observe(line, src_id=9) is True
+        store = filled_store()
+        directory.observe(store, 0, src_id=0)
+        assert directory.observe(store, 0, src_id=9) is True
 
     def test_share_factor_must_divide(self):
         with pytest.raises(ValueError):
