@@ -1,4 +1,4 @@
-"""Cross-campaign analysis: manifest diffing, significance, the ledger.
+"""Cross-campaign analysis: manifest diffing and the ledger.
 
 This package consumes the artifacts the rest of the repository produces
 — campaign manifests from :mod:`repro.runner.engine`, ``BENCH_*.json``
@@ -6,9 +6,10 @@ blobs from ``benchmarks/perf_suite.py`` — and turns them into regression
 intelligence:
 
 * :func:`load_manifest` / :class:`Manifest` — schema-tolerant manifest
-  loading (v1 label-parsing fallback, v2 structured fields).
+  loading (v1 label-parsing fallback, v2 structured fields), one task
+  per label.
 * :func:`compare_manifests` / :class:`ManifestComparison` — per-label,
-  per-counter deltas with deterministic permutation-test verdicts.
+  per-counter deltas with exact-delta verdicts.
 * :func:`render_markdown` / :func:`render_html` — byte-stable reports.
 * :class:`Ledger` — the append-only fsync'd JSONL perf/accuracy history
   with rolling-baseline drift gating.
@@ -45,13 +46,6 @@ from repro.analysis.loader import (
     parse_manifest,
 )
 from repro.analysis.report import render_html, render_markdown
-from repro.analysis.significance import (
-    bootstrap_mean_ci,
-    deterministic_seed,
-    mad,
-    median,
-    permutation_pvalue,
-)
 
 __all__ = [
     "AnalysisError",
@@ -65,19 +59,14 @@ __all__ = [
     "ManifestComparison",
     "TaskRecord",
     "VERDICTS",
-    "bootstrap_mean_ci",
     "compare_manifests",
     "counter_polarity",
-    "deterministic_seed",
     "flatten_metrics",
     "host_fingerprint",
     "load_manifest",
-    "mad",
     "make_record",
-    "median",
     "parse_label",
     "parse_manifest",
-    "permutation_pvalue",
     "record_from_bench",
     "record_from_manifest",
     "render_html",

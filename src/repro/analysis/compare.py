@@ -8,14 +8,13 @@ produce for every experiment label present in either a structured
 verdict per counter:
 
 ``improved`` / ``regressed``
-    The counter moved, the direction is meaningful for that counter
-    (see :func:`counter_polarity`), and — when repeated-run samples
-    exist — a deterministic permutation test rejects noise at ``alpha``.
+    The counter moved and the direction is meaningful for that counter
+    (see :func:`counter_polarity`).
 ``changed``
     The counter moved but has no defined polarity (e.g. raw event
     counts, where more/less is neither good nor bad by itself).
 ``unchanged``
-    Bit-identical means, or statistically indistinguishable samples.
+    Bit-identical values.
 ``new`` / ``missing``
     The counter (or whole label) exists on only one side.
 
@@ -29,10 +28,9 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.loader import Manifest, TaskRecord
-from repro.analysis.significance import deterministic_seed, permutation_pvalue
 from repro.stats.report import geomean
 
 __all__ = [
@@ -104,13 +102,10 @@ class CounterDelta:
 
     Attributes:
         name: Flattened counter name (``l1.miss_rate``).
-        a: Mean over manifest A's samples (``None`` when absent).
-        b: Mean over manifest B's samples (``None`` when absent).
+        a: Manifest A's value (``None`` when absent or non-numeric).
+        b: Manifest B's value (``None`` when absent or non-numeric).
         delta: ``b - a`` (``None`` unless both sides are numeric).
         rel_delta: ``delta / |a|`` (``None`` when ``a == 0`` or absent).
-        p_value: Deterministic permutation p-value, when both sides had
-            repeated samples; ``None`` for singleton comparisons.
-        n_a, n_b: Sample counts behind each mean.
         verdict: One of :data:`VERDICTS`.
     """
 
@@ -119,9 +114,6 @@ class CounterDelta:
     b: Optional[float]
     delta: Optional[float]
     rel_delta: Optional[float]
-    p_value: Optional[float]
-    n_a: int
-    n_b: int
     verdict: str
 
 
@@ -135,8 +127,6 @@ class LabelComparison:
     design: Optional[str]
     fidelity: str
     deltas: List[CounterDelta] = field(default_factory=list)
-    n_a: int = 0
-    n_b: int = 0
 
     def by_verdict(self, verdict: str) -> List[CounterDelta]:
         return [d for d in self.deltas if d.verdict == verdict]
@@ -165,7 +155,6 @@ class ManifestComparison:
 
     a: Manifest
     b: Manifest
-    alpha: float
     labels: List[LabelComparison] = field(default_factory=list)
     failed_a: List[str] = field(default_factory=list)
     failed_b: List[str] = field(default_factory=list)
@@ -236,13 +225,13 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _augmented_metrics(task: TaskRecord) -> Dict[str, Any]:
+def augmented_metrics(task: TaskRecord) -> Dict[str, Any]:
     """A task's flattened metrics plus derived headline counters.
 
     IPC is the paper's headline metric but the metrics registry stores
     its ingredients (``core.instructions`` / ``core.cycles``); deriving
-    it here keeps manifests untouched while giving comparisons and
-    design summaries the number people actually look at.
+    it here keeps manifests untouched while giving comparisons, design
+    summaries and the ledger the number people actually look at.
     """
     flat = task.flat_metrics()
     instructions = flat.get("core.instructions")
@@ -252,35 +241,12 @@ def _augmented_metrics(task: TaskRecord) -> Dict[str, Any]:
     return flat
 
 
-def _counter_names(tasks: Sequence[TaskRecord]) -> List[str]:
-    names: Dict[str, None] = {}
-    for task in tasks:
-        for name in _augmented_metrics(task):
-            names[name] = None
-    return sorted(names)
-
-
 def _compare_counter(
-    label: str,
-    name: str,
-    tasks_a: Sequence[TaskRecord],
-    tasks_b: Sequence[TaskRecord],
-    alpha: float,
-    rounds: int,
+    name: str, metrics_a: Dict[str, Any], metrics_b: Dict[str, Any]
 ) -> CounterDelta:
-    values_a = [
-        v for t in tasks_a if _is_number(v := _augmented_metrics(t).get(name))
-    ]
-    values_b = [
-        v for t in tasks_b if _is_number(v := _augmented_metrics(t).get(name))
-    ]
-    mean_a = sum(values_a) / len(values_a) if values_a else None
-    mean_b = sum(values_b) / len(values_b) if values_b else None
-
-    if mean_a is None or mean_b is None:
+    raw_a, raw_b = metrics_a.get(name), metrics_b.get(name)
+    if not (_is_number(raw_a) and _is_number(raw_b)):
         # Non-numeric or one-sided counters: equality check only.
-        raw_a = _augmented_metrics(tasks_a[0]).get(name) if tasks_a else None
-        raw_b = _augmented_metrics(tasks_b[0]).get(name) if tasks_b else None
         if raw_a is None and raw_b is not None:
             verdict = "new"
         elif raw_a is not None and raw_b is None:
@@ -288,74 +254,62 @@ def _compare_counter(
         else:
             verdict = "unchanged" if raw_a == raw_b else "changed"
         return CounterDelta(
-            name=name, a=mean_a, b=mean_b, delta=None, rel_delta=None,
-            p_value=None, n_a=len(values_a), n_b=len(values_b), verdict=verdict,
+            name=name,
+            a=raw_a if _is_number(raw_a) else None,
+            b=raw_b if _is_number(raw_b) else None,
+            delta=None, rel_delta=None, verdict=verdict,
         )
 
-    delta = mean_b - mean_a
-    rel_delta = (delta / abs(mean_a)) if mean_a else None
-    # Deterministic by construction: the seed depends only on the
-    # comparison coordinates, never on process state.
-    p_value = permutation_pvalue(
-        values_a, values_b, rounds=rounds,
-        seed=deterministic_seed("compare", label, name),
-    )
-
+    delta = raw_b - raw_a
+    polarity = counter_polarity(name)
     if delta == 0:
         verdict = "unchanged"
-    elif p_value is not None and p_value > alpha:
-        verdict = "unchanged"  # statistically indistinguishable
+    elif polarity == 0:
+        verdict = "changed"
+    elif delta * polarity > 0:
+        verdict = "improved"
     else:
-        polarity = counter_polarity(name)
-        if polarity == 0:
-            verdict = "changed"
-        elif delta * polarity > 0:
-            verdict = "improved"
-        else:
-            verdict = "regressed"
+        verdict = "regressed"
     return CounterDelta(
-        name=name, a=mean_a, b=mean_b, delta=delta, rel_delta=rel_delta,
-        p_value=p_value, n_a=len(values_a), n_b=len(values_b), verdict=verdict,
+        name=name, a=raw_a, b=raw_b, delta=delta,
+        rel_delta=(delta / abs(raw_a)) if raw_a else None, verdict=verdict,
     )
 
 
-def compare_manifests(
-    a: Manifest,
-    b: Manifest,
-    alpha: float = 0.05,
-    rounds: int = 5000,
-) -> ManifestComparison:
+def compare_manifests(a: Manifest, b: Manifest) -> ManifestComparison:
     """Diff two loaded manifests into a :class:`ManifestComparison`.
 
-    Labels are matched exactly (kind, fidelity, benchmark and design all
-    live in the label), so a design renamed between runs shows up as one
-    ``missing`` plus one ``new`` label — the honest answer.  Counter
-    verdicts within matched labels follow the module rules above.
+    Labels are matched exactly (kind, fidelity, benchmark, design and
+    any non-default task field all live in the label), so a design
+    renamed between runs shows up as one ``missing`` plus one ``new``
+    label — the honest answer.  Each label names one task
+    (:meth:`Manifest.groups`), so every counter verdict compares one
+    value per side.
+
+    Raises:
+        AnalysisError: a manifest carries one label under two keys.
     """
     groups_a = a.groups()
     groups_b = b.groups()
     comparison = ManifestComparison(
-        a=a, b=b, alpha=alpha,
-        failed_a=a.failed_labels, failed_b=b.failed_labels,
+        a=a, b=b, failed_a=a.failed_labels, failed_b=b.failed_labels,
     )
     for label in sorted(set(groups_a) | set(groups_b)):
-        tasks_a = groups_a.get(label, [])
-        tasks_b = groups_b.get(label, [])
-        sample = (tasks_a or tasks_b)[0]
+        task_a = groups_a.get(label)
+        task_b = groups_b.get(label)
+        sample = task_a or task_b
         entry = LabelComparison(
             label=label,
-            status="matched" if tasks_a and tasks_b
-            else ("missing" if tasks_a else "new"),
+            status="matched" if task_a and task_b
+            else ("missing" if task_a else "new"),
             benchmark=sample.benchmark,
             design=sample.design,
             fidelity=sample.fidelity,
-            n_a=len(tasks_a),
-            n_b=len(tasks_b),
         )
         if entry.status == "matched":
-            for name in _counter_names(list(tasks_a) + list(tasks_b)):
-                entry.deltas.append(
-                    _compare_counter(label, name, tasks_a, tasks_b, alpha, rounds)
-                )
+            metrics_a = augmented_metrics(task_a)
+            metrics_b = augmented_metrics(task_b)
+            for name in sorted(metrics_a.keys() | metrics_b.keys()):
+                entry.deltas.append(_compare_counter(name, metrics_a, metrics_b))
         comparison.labels.append(entry)
     return comparison

@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.analysis.compare import counter_polarity
-from repro.analysis.loader import AnalysisError, flatten_metrics
-from repro.analysis.significance import mad, median
+from repro.analysis.compare import augmented_metrics, counter_polarity
+from repro.analysis.loader import AnalysisError, parse_manifest
 from repro.runner.engine import git_commit
 from repro.stats.report import Table
 
@@ -60,6 +59,26 @@ __all__ = [
 LEDGER_SCHEMA_VERSION = 1
 
 _HOST_CACHE: List[Dict[str, Any]] = []
+
+
+def median(values: Iterable[float]) -> float:
+    """Median of a non-empty iterable (even lengths average the pair)."""
+    ordered: List[float] = sorted(values)
+    if not ordered:
+        raise ValueError("median of an empty sequence")
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def mad(values: Iterable[float], center: Optional[float] = None) -> float:
+    """Median absolute deviation — the rolling gate's robust noise estimate."""
+    ordered = list(values)
+    if not ordered:
+        raise ValueError("MAD of an empty sequence")
+    c = median(ordered) if center is None else center
+    return median(abs(v - c) for v in ordered)
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -153,35 +172,22 @@ def record_from_manifest(
     Captures the *accuracy* trajectory — per-experiment L1/L2 miss
     rates, bypass ratios and IPC — plus campaign health counters, so
     drift in simulated numbers across commits is as visible as drift in
-    throughput.  Repeated labels are averaged.
+    throughput.  Each label names one task (:meth:`Manifest.groups`):
+    repeats of one key count once, and a label under two keys raises
+    :class:`AnalysisError`.
     """
-    tasks = manifest.get("tasks")
-    if not isinstance(tasks, list):
-        raise AnalysisError("manifest blob has no 'tasks' array")
-    per_label: Dict[str, Dict[str, List[float]]] = {}
-    for task in tasks:
-        if not isinstance(task, Mapping) or task.get("failed"):
-            continue
-        metrics = task.get("metrics")
-        label = task.get("label")
-        if not isinstance(metrics, Mapping) or not isinstance(label, str):
-            continue
-        flat = flatten_metrics(metrics)
-        instructions, cycles = flat.get("core.instructions"), flat.get("core.cycles")
-        if isinstance(instructions, (int, float)) and cycles:
-            flat["ipc"] = instructions / cycles
-        bucket = per_label.setdefault(label, {})
+    loaded = parse_manifest(manifest)
+    groups = loaded.groups()
+    metrics: Dict[str, Any] = {}
+    for label in sorted(groups):
+        flat = augmented_metrics(groups[label])
         for name in (
-            "ipc", "l1.miss_rate", "l1.bypass_ratio", "l2.miss_rate",
-            "dram.row_hit_rate",
+            "dram.row_hit_rate", "ipc", "l1.bypass_ratio", "l1.miss_rate",
+            "l2.miss_rate",
         ):
             value = flat.get(name)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                bucket.setdefault(name, []).append(float(value))
-    metrics: Dict[str, Any] = {}
-    for label in sorted(per_label):
-        for name, values in sorted(per_label[label].items()):
-            metrics[f"{label}.{name}"] = sum(values) / len(values)
+                metrics[f"{label}.{name}"] = float(value)
     counters = manifest.get("counters")
     if isinstance(counters, Mapping):
         for name in ("task_seconds", "elapsed_seconds", "retries", "failed"):
@@ -189,9 +195,7 @@ def record_from_manifest(
                 metrics[f"campaign.{name}"] = counters[name]
     if not metrics:
         raise AnalysisError("manifest carries no ledger-able metrics")
-    fidelities = {
-        t.get("fidelity") for t in tasks if isinstance(t, Mapping)
-    } - {None}
+    fidelities = {t.fidelity for t in loaded.tasks}
     kw.setdefault("commit", manifest.get("git_commit"))
     return make_record(
         suite,
@@ -473,12 +477,3 @@ class Ledger:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Ledger {self.path}>"
 
-
-def _metric_names(records: Iterable[Mapping[str, Any]]) -> List[str]:
-    names: Dict[str, None] = {}
-    for record in records:
-        metrics = record.get("metrics")
-        if isinstance(metrics, Mapping):
-            for name in metrics:
-                names[name] = None
-    return sorted(names)

@@ -57,7 +57,9 @@ def parse_label(label: str) -> Tuple[str, Optional[str], Optional[str], str]:
 
     Labels look like ``simulate:SPMV/gc``, ``simulate[functional]:X/gc``,
     ``pd-sweep:SPMV`` or, in manifests written before the ``replay``
-    task kind was retired, ``replay:KMN/bs``.  Unparseable labels degrade
+    task kind was retired, ``replay:KMN/bs``.  A trailing ``@…``
+    suffix (the task's non-default fields) is not part of any of the
+    returned fields.  Unparseable labels degrade
     to ``(label, None, None, "timing")`` rather than erroring — an old
     or foreign manifest should still load, just with less structure.
     """
@@ -68,7 +70,7 @@ def parse_label(label: str) -> Tuple[str, Optional[str], Optional[str], str]:
     if kind.endswith("]") and "[" in kind:
         kind, _, fid = kind[:-1].partition("[")
         fidelity = fid or "timing"
-    name, sep, design = rest.partition("/")
+    name, sep, design = rest.partition("@")[0].partition("/")
     return kind, name or None, (design if sep else None), fidelity
 
 
@@ -162,21 +164,30 @@ class Manifest:
         cache = self.raw.get("cache")
         return cache if isinstance(cache, dict) else {}
 
-    def groups(self) -> Dict[str, List[TaskRecord]]:
-        """Completed tasks grouped by label, insertion-ordered.
+    def groups(self) -> Dict[str, TaskRecord]:
+        """One completed task per label, insertion-ordered.
 
-        A label groups repeated runs of the same logical experiment
-        (e.g. one ``simulate:SPMV/gc`` per seed) — the sample lists the
-        significance tests operate on.  Failed tasks are excluded (they
-        carry no metrics); the comparison layer reports them separately
-        via :attr:`failed_labels`.
+        A label names one task (see :attr:`repro.runner.Task.label`), so
+        repeats of a label must repeat its key: the figure pipeline
+        serves one cached task to several figures, and each serving
+        leaves a record.  Those collapse into the first.  A label
+        carried by two different keys means the labels do not tell the
+        tasks apart, and raises :class:`AnalysisError` rather than mix
+        their numbers.  Failed tasks are excluded (they carry no
+        metrics); the comparison layer reports them separately via
+        :attr:`failed_labels`.
         """
-        grouped: Dict[str, List[TaskRecord]] = {}
+        by_label: Dict[str, TaskRecord] = {}
         for task in self.tasks:
             if task.failed:
                 continue
-            grouped.setdefault(task.label, []).append(task)
-        return grouped
+            first = by_label.setdefault(task.label, task)
+            if first.key != task.key:
+                raise AnalysisError(
+                    f"{self.name}: label {task.label!r} names two tasks, "
+                    f"keys {first.key} and {task.key}"
+                )
+        return by_label
 
     @property
     def failed_labels(self) -> List[str]:
@@ -185,6 +196,8 @@ class Manifest:
 
 
 def _task_record(entry: Mapping[str, Any], index: int) -> TaskRecord:
+    if not isinstance(entry, Mapping):
+        raise AnalysisError(f"task #{index} is not an object: {entry!r:.100}")
     label = entry.get("label")
     if not isinstance(label, str):
         raise AnalysisError(f"task #{index} has no string 'label': {entry!r:.100}")

@@ -34,10 +34,6 @@ def _fmt_rel(rel: Optional[float]) -> str:
     return f"{100.0 * rel:+.2f}%" if rel is not None else "-"
 
 
-def _fmt_p(p: Optional[float]) -> str:
-    return f"{p:.4f}" if p is not None else "-"
-
-
 def _meta_table(a: Manifest, b: Manifest) -> Table:
     table = Table(["", "A (baseline)", "B (candidate)"], title="Inputs")
     rows = [
@@ -87,13 +83,13 @@ def _regressions_table(cmp: ManifestComparison, top: int) -> Optional[Table]:
     if not regressions:
         return None
     table = Table(
-        ["#", "experiment", "counter", "A", "B", "delta", "p"],
+        ["#", "experiment", "counter", "A", "B", "delta"],
         title=f"Top regressions (worst {len(regressions)})",
     )
     for rank, (label, delta) in enumerate(regressions, 1):
         table.row([
             str(rank), label, delta.name, _fmt(delta.a), _fmt(delta.b),
-            _fmt_rel(delta.rel_delta), _fmt_p(delta.p_value),
+            _fmt_rel(delta.rel_delta),
         ])
     return table
 
@@ -108,18 +104,16 @@ def _label_tables(cmp: ManifestComparison, include_unchanged: bool):
             if include_unchanged or d.verdict != "unchanged"
         ]
         omitted = len(label.deltas) - len(shown)
-        heading = f"{label.label} ({label.n_a} vs {label.n_b} runs)"
         note = f"{omitted} unchanged counters omitted" if omitted else ""
         if not shown:
-            yield heading, note or "all counters unchanged", None
+            yield label.label, note or "all counters unchanged", None
             continue
-        table = Table(["counter", "A", "B", "delta", "p", "verdict"])
+        table = Table(["counter", "A", "B", "delta", "verdict"])
         for d in shown:
             table.row([
-                d.name, _fmt(d.a), _fmt(d.b), _fmt_rel(d.rel_delta),
-                _fmt_p(d.p_value), d.verdict,
+                d.name, _fmt(d.a), _fmt(d.b), _fmt_rel(d.rel_delta), d.verdict,
             ])
-        yield heading, note, table
+        yield label.label, note, table
 
 
 def _unmatched_lines(cmp: ManifestComparison) -> List[str]:
@@ -144,10 +138,6 @@ def render_markdown(
     """The comparison as a GitHub-flavored markdown document."""
     parts: List[str] = [
         f"# Campaign comparison: {cmp.a.name} vs {cmp.b.name}",
-        "",
-        f"Significance level alpha = {cmp.alpha:g}; verdicts on "
-        "repeated-run counters use a deterministic permutation test, "
-        "singletons an exact-delta check.",
         "",
         _meta_table(cmp.a, cmp.b).to_markdown(),
         "",
@@ -218,8 +208,6 @@ def render_html(
     title = f"Campaign comparison: {cmp.a.name} vs {cmp.b.name}"
     body: List[str] = [
         f"<h1>{escape(title)}</h1>",
-        f'<p class="note">alpha = {cmp.alpha:g}; repeated-run counters use a '
-        "deterministic permutation test, singletons an exact-delta check.</p>",
         _html_table(_meta_table(cmp.a, cmp.b)),
         "<h2>Summary</h2>",
         _html_table(_summary_table(cmp)),

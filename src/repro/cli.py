@@ -443,12 +443,11 @@ def cmd_analyze_compare(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_html, render_markdown
 
     try:
-        a = load_manifest(args.baseline)
-        b = load_manifest(args.candidate)
+        cmp = compare_manifests(load_manifest(args.baseline),
+                                load_manifest(args.candidate))
     except AnalysisError as exc:
         print(f"analyze compare: {exc}", file=sys.stderr)
         return 2
-    cmp = compare_manifests(a, b, alpha=args.alpha)
     markdown = render_markdown(cmp, top=args.top,
                                include_unchanged=args.include_unchanged)
     if args.markdown is not None:
@@ -823,7 +822,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     diff_parser = ana_sub.add_parser(
         "compare",
-        help="diff two campaign manifests with significance-tested verdicts",
+        help="diff two campaign manifests, one verdict per counter",
     )
     diff_parser.add_argument("baseline", type=Path,
                              help="manifest A (the baseline)")
@@ -835,9 +834,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   "(default: print it to stdout)")
     diff_parser.add_argument("--html", type=Path, default=None, metavar="PATH",
                              help="write a self-contained HTML report here")
-    diff_parser.add_argument("--alpha", type=float, default=0.05,
-                             help="significance level for the permutation "
-                                  "test on repeated-run counters")
     diff_parser.add_argument("--top", type=int, default=10,
                              help="rows in the top-regressions table")
     diff_parser.add_argument("--include-unchanged", action="store_true",

@@ -50,6 +50,7 @@ from repro.experiments.fig9_missrate import render_fig9
 from repro.experiments.fig10_64kb import FIG10_DESIGNS, make_64kb_suite, render_fig10
 from repro.experiments.table3_bypass import render_table3
 from repro.runner import CampaignEngine, ResultCache
+from repro.trace.suite import CACHE_SENSITIVE
 
 ALL_EXPERIMENTS = ("fig2", "fig3", "fig4", "fig8", "fig9", "table3", "fig10")
 
@@ -166,13 +167,21 @@ def main(argv=None) -> int:
             )))
             print()
         if "fig3" in wanted or "fig4" in wanted:
-            data = size_sensitivity(scale=args.scale, seed=args.seed, engine=engine)
-            if "fig3" in wanted:
-                print(render_fig3(data))
+            # The size sweep covers only the cache-sensitive benchmarks.
+            sized = [b for b in benches or CACHE_SENSITIVE if b in CACHE_SENSITIVE]
+            if not sized:
+                print("[skip] fig3/fig4: no cache-sensitive benchmark selected")
                 print()
-            if "fig4" in wanted:
-                print(render_fig4(data))
-                print()
+            else:
+                data = size_sensitivity(
+                    sized, scale=args.scale, seed=args.seed, engine=engine
+                )
+                if "fig3" in wanted:
+                    print(render_fig3(data))
+                    print()
+                if "fig4" in wanted:
+                    print(render_fig4(data))
+                    print()
         if {"fig8", "fig9", "table3"} & set(wanted):
             suite.run_matrix(PAPER_DESIGNS)  # one parallel campaign, three views
         if "fig8" in wanted:

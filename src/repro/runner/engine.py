@@ -286,14 +286,9 @@ def _payload_metrics(payload: Any) -> Optional[Dict[str, Any]]:
 
 def _task_fields(task: Task) -> Dict[str, Optional[str]]:
     """Structured identity fields for a task's manifest/timing record."""
-    benchmark = task.benchmark
-    if benchmark is None and task.scenario is not None:
-        benchmark = task.scenario.get("name")
-    if benchmark is None and task.trace is not None:
-        benchmark = task.trace.name
     return {
         "kind": task.kind,
-        "benchmark": benchmark,
+        "benchmark": task.workload,
         "design": None if task.kind == "pd-sweep" else task.design,
     }
 

@@ -26,9 +26,10 @@ Task kinds:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
@@ -57,6 +58,23 @@ __all__ = [
 PD_SWEEP: Tuple[int, ...] = (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 68, 96)
 
 TASK_KINDS = ("simulate", "pd-sweep")
+
+_DEFAULT_CONFIG = GPUConfig()
+
+
+def _changed_fields(value: Any, default: Any, prefix: str = "") -> List[str]:
+    """``name=value`` for each dataclass field that differs from
+    ``default``, descending into nested dataclasses by dotted name."""
+    changed: List[str] = []
+    for f in dataclasses.fields(value):
+        mine, base = getattr(value, f.name), getattr(default, f.name)
+        if mine == base:
+            continue
+        if dataclasses.is_dataclass(mine):
+            changed += _changed_fields(mine, base, f"{prefix}{f.name}.")
+        else:
+            changed.append(f"{prefix}{f.name}={mine}")
+    return changed
 
 
 def sweep_optimal_pd(
@@ -214,24 +232,46 @@ class Task:
     # Identity
     # ------------------------------------------------------------------
     @property
+    def workload(self) -> Optional[str]:
+        """Benchmark name, else the scenario's name, else the trace's."""
+        if self.benchmark is not None:
+            return self.benchmark
+        if self.scenario is not None:
+            return self.scenario.get("name")
+        return self.trace.name if self.trace is not None else None
+
+    @property
     def label(self) -> str:
-        """Human-readable manifest label, e.g. ``simulate:SPMV/gc``.
+        """Manifest label naming this task, e.g. ``simulate:SPMV/gc``.
 
         Non-default fidelities render inline
-        (``simulate[functional]:SPMV/gc``) so manifests read correctly
-        without consulting the per-task fidelity field.
+        (``simulate[functional]:SPMV/gc``).  Every keyed field that
+        differs from its default follows an ``@``: ``GPUConfig`` fields
+        (nested ``dram_timing`` ones by dotted name), then
+        ``victim_share_factor`` or ``pd_candidates``, as in
+        ``simulate:SPMV/gc@l1_size=65536``.  ``scale`` and ``seed`` are
+        campaign-wide and stay out, as does ``pd``, which every
+        producer derives from the pd-sweep of the same workload.
         """
-        name = self.benchmark
-        if name is None and self.scenario is not None:
-            name = self.scenario.get("name", "?")
-        if name is None:
-            name = self.trace.name if self.trace else "?"
+        name = self.workload or "?"
+        changed = (
+            [] if self.config == _DEFAULT_CONFIG
+            else _changed_fields(self.config, _DEFAULT_CONFIG)
+        )
         if self.kind == "pd-sweep":
-            return f"pd-sweep:{name}"
-        kind = self.kind
-        if self.fidelity != "timing":
-            kind = f"{kind}[{self.fidelity}]"
-        return f"{kind}:{name}/{self.design}"
+            label = f"pd-sweep:{name}"
+            if tuple(self.pd_candidates) != PD_SWEEP:
+                changed.append(
+                    "pd_candidates=" + "-".join(map(str, self.pd_candidates))
+                )
+        else:
+            kind = self.kind
+            if self.fidelity != "timing":
+                kind = f"{kind}[{self.fidelity}]"
+            label = f"{kind}:{name}/{self.design}"
+            if self.victim_share_factor != 1:
+                changed.append(f"victim_share_factor={self.victim_share_factor}")
+        return f"{label}@{','.join(changed)}" if changed else label
 
     def fingerprint(self) -> Dict[str, Any]:
         """Everything that determines this task's result, as plain data."""

@@ -57,7 +57,7 @@ def csr_group(
 def l1_burst(
     l1s: List,
     num_sets: int,
-    kind: str,
+    lru: bool,
     max_rrpv: int,
     insertion_rrpv: int,
     repl_st: List,
@@ -92,7 +92,6 @@ def l1_burst(
         return 0, 0, 0, 0, 0, 0, np.empty(0, dtype=np.int64)
     stores = int(np.count_nonzero(write))
     loads = n_ev - stores
-    lru = kind == "lru"
     C = len(l1s)
     ways = l1s[0].ways
     n_rows = C * num_sets

@@ -61,14 +61,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache.policies.base import ManagementPolicy
+from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.sim.addressing import AddressMap
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
 from repro.sim.functional.bursts import l1_burst, l2_burst
-from repro.sim.functional.replacement import (
-    FunctionalUnsupportedError,
-    replacement_model,
-)
 from repro.sim.functional.streams import CoreArrays, build_core_arrays
 from repro.sim.replay import SCHEDULERS, ReplayResult, build_core_streams
 from repro.stats.counters import CacheStats
@@ -81,6 +79,10 @@ __all__ = [
     "functional_replay",
     "stream_scheduler",
 ]
+
+
+class FunctionalUnsupportedError(NotImplementedError):
+    """The design uses a policy the functional backend does not model."""
 
 
 class _L1State:
@@ -180,14 +182,26 @@ class FunctionalEngine:
         # One real management policy per core, attached to that core's
         # L1 planes, just as the timing memory system builds one per L1.
         repls = [self.design.make_l1_replacement() for _ in self.l1]
-        self.repl = replacement_model(repls[0], self.design.key)
+        # The walk and burst kernels inline LRU and SRRIP over the flat
+        # stamp/rrpv planes; they read the kind and SRRIP's two RRPVs.
+        repl = repls[0]
+        self._lru = type(repl) is LRUPolicy
+        if self._lru:
+            self._max_rrpv = self._insertion_rrpv = 0
+        elif type(repl) is SRRIPPolicy:
+            self._max_rrpv = repl.max_rrpv
+            self._insertion_rrpv = repl.insertion_rrpv
+        else:
+            raise FunctionalUnsupportedError(
+                f"functional backend does not model replacement policy "
+                f"{type(repl).__name__} (design {self.design.key!r})"
+            )
         self.mgmt: List[ManagementPolicy] = [
             self.design.make_l1_mgmt() for _ in self.l1
         ]
         for c, policy in enumerate(self.mgmt):
             policy.attach(self.l1[c], repls[c], f"L1[{c}]")
         policy = self.mgmt[0]
-        self._lru = self.repl.kind == "lru"
         # Which hooks the policy overrides; the walk skips the
         # Python call entirely for base-class no-ops.
         has = {
@@ -219,7 +233,8 @@ class FunctionalEngine:
             or any(has.values())
             or self.design.uses_victim_bits
         )
-        self._repl_st = [self.repl.new_core() for _ in range(cfg.num_cores)]
+        # LRU's per-core stamp tick, one mutable cell per core.
+        self._repl_st = [[0] for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
         self.l2 = [
             _L2Bank(cfg.l2_bank_sets, cfg.l2_ways)
@@ -339,9 +354,9 @@ class FunctionalEngine:
         ) = l1_burst(
             self.l1,
             S1,
-            self.repl.kind,
-            self.repl.max_rrpv,
-            self.repl.insertion_rrpv,
+            self._lru,
+            self._max_rrpv,
+            self._insertion_rrpv,
             self._repl_st,
             group,
             line,
@@ -513,8 +528,8 @@ class FunctionalEngine:
         l1s = self.l1
         vd_masks = self._vd_masks or [0] * C
         lru = self._lru
-        insertion_rrpv = self.repl.insertion_rrpv
-        max_rrpv = self.repl.max_rrpv
+        insertion_rrpv = self._insertion_rrpv
+        max_rrpv = self._max_rrpv
         # Declared no-op fill path (ManagementPolicy.fill_gate_switches):
         # a hint-free fill into a set whose switch byte is 0 never
         # bypasses, so the call is skipped.

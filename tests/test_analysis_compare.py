@@ -1,19 +1,16 @@
-"""Manifest diffing: verdicts, significance, deterministic reports."""
+"""Manifest diffing: one task per label, verdicts, deterministic reports."""
 
 import json
 
 import pytest
 
 from repro.analysis import (
+    AnalysisError,
     compare_manifests,
     counter_polarity,
-    deterministic_seed,
     load_manifest,
-    mad,
-    median,
     parse_label,
     parse_manifest,
-    permutation_pvalue,
 )
 from repro.analysis.report import render_html, render_markdown
 
@@ -55,6 +52,12 @@ class TestParseLabel:
     def test_pd_sweep_label_has_no_design(self):
         assert parse_label("pd-sweep:SPMV") == ("pd-sweep", "SPMV", None, "timing")
 
+    def test_config_suffix_is_not_part_of_the_fields(self):
+        assert parse_label("simulate:SPMV/gc@l1_size=65536") == (
+            "simulate", "SPMV", "gc", "timing")
+        assert parse_label("pd-sweep:SPMV@l1_size=65536") == (
+            "pd-sweep", "SPMV", None, "timing")
+
     def test_unparseable_label_degrades(self):
         assert parse_label("weird") == ("weird", None, None, "timing")
 
@@ -78,32 +81,6 @@ class TestPolarity:
         assert counter_polarity(name) == 0
 
 
-class TestSignificance:
-    def test_permutation_needs_two_samples_per_side(self):
-        assert permutation_pvalue([1.0], [2.0, 3.0]) is None
-
-    def test_identical_samples_not_significant(self):
-        p = permutation_pvalue([5.0, 5.0, 5.0], [5.0, 5.0, 5.0])
-        assert p == 1.0
-
-    def test_separated_samples_significant(self):
-        p = permutation_pvalue([1.0, 1.1, 0.9, 1.05], [9.0, 9.1, 8.9, 9.05])
-        assert p is not None and p < 0.05
-
-    def test_deterministic_across_calls(self):
-        a = [0.5, 0.7, 0.6, 0.9, 0.4, 0.8, 0.55, 0.65, 0.75, 0.45] * 2
-        b = [0.6, 0.8, 0.7, 1.0, 0.5, 0.9, 0.65, 0.75, 0.85, 0.55] * 2
-        seed = deterministic_seed("x", "y")
-        assert permutation_pvalue(a, b, rounds=200, seed=seed) == \
-            permutation_pvalue(a, b, rounds=200, seed=seed)
-
-    def test_median_and_mad(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        assert mad([1.0, 1.0, 1.0]) == 0.0
-        assert mad([1.0, 2.0, 3.0]) == 1.0
-
-
 class TestCompare:
     def test_improved_and_regressed_verdicts(self):
         a = _manifest([
@@ -124,20 +101,28 @@ class TestCompare:
         (delta,) = cmp.labels[0].deltas
         assert delta.verdict == "changed"
 
-    def test_noise_is_unchanged_under_permutation_test(self):
-        # Overlapping samples: the observed delta is within noise.
-        a = _manifest([
-            _task("simulate:SPMV/gc", {"l1.miss_rate": v}, seed=i)
-            for i, v in enumerate([0.50, 0.52, 0.48, 0.51])
-        ])
-        b = _manifest([
-            _task("simulate:SPMV/gc", {"l1.miss_rate": v}, seed=i)
-            for i, v in enumerate([0.51, 0.49, 0.52, 0.50])
-        ])
+    def test_same_key_repeats_collapse(self):
+        # One task served to two figures leaves two identical records.
+        a = _manifest([_task("simulate:SPMV/bs", {"l1.miss_rate": 0.5})] * 2)
+        b = _manifest([_task("simulate:SPMV/bs", {"l1.miss_rate": 0.4})] * 3)
         cmp = compare_manifests(a, b)
-        (delta,) = cmp.labels[0].deltas
-        assert delta.verdict == "unchanged"
-        assert delta.p_value is not None and delta.p_value > 0.05
+        (label,) = cmp.labels
+        (delta,) = label.deltas
+        assert (delta.a, delta.b, delta.verdict) == (0.5, 0.4, "improved")
+
+    def test_label_with_two_keys_is_refused(self):
+        ambiguous = _manifest([
+            _task("simulate:SPMV/gc", {"l1.miss_rate": 0.70}, seed=0),
+            _task("simulate:SPMV/gc", {"l1.miss_rate": 0.66}, seed=1),
+        ])
+        clean = _manifest([_task("simulate:SPMV/gc", {"l1.miss_rate": 0.7})])
+        for a, b in ((ambiguous, clean), (clean, ambiguous)):
+            with pytest.raises(AnalysisError) as info:
+                compare_manifests(a, b)
+            message = str(info.value)
+            assert "'simulate:SPMV/gc'" in message
+            assert "simulate:SPMV/gc-0" in message
+            assert "simulate:SPMV/gc-1" in message
 
     def test_new_and_missing_labels(self):
         a = _manifest([_task("simulate:SPMV/gc", {"ipc": 1.0})])
@@ -178,6 +163,10 @@ class TestCompare:
         tops = cmp.top_regressions(5)
         assert [d.name for _, d in tops] == ["l1.miss_rate", "l2.miss_rate"]
 
+    def test_non_object_task_entry_is_an_analysis_error(self):
+        with pytest.raises(AnalysisError, match="task #0 is not an object"):
+            parse_manifest({"tasks": [["simulate:SPMV/gc"]]})
+
     def test_v1_manifest_loads_without_version_fields(self):
         raw = {
             "salt": "old", "jobs": 1,
@@ -198,18 +187,16 @@ class TestReportDeterminism:
             _task("simulate:SPMV/gc",
                   {"l1.miss_rate": 0.5, "core.cycles": 1000,
                    "core.instructions": 900,
-                   "core.load_latency": {"count": 10, "mean": 40.0}},
-                  seed=i)
-            for i in range(3)
-        ] + [_task("simulate:BFS/gc", {"l1.miss_rate": 0.8})])
+                   "core.load_latency": {"count": 10, "mean": 40.0}}),
+            _task("simulate:BFS/gc", {"l1.miss_rate": 0.8}),
+        ])
         b = _manifest([
             _task("simulate:SPMV/gc",
                   {"l1.miss_rate": 0.45, "core.cycles": 900,
                    "core.instructions": 900,
-                   "core.load_latency": {"count": 10, "mean": 38.0}},
-                  seed=i)
-            for i in range(3)
-        ] + [_task("simulate:KMN/bs", {"l1.miss_rate": 0.2})])
+                   "core.load_latency": {"count": 10, "mean": 38.0}}),
+            _task("simulate:KMN/bs", {"l1.miss_rate": 0.2}),
+        ])
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(a.raw))
         pb.write_text(json.dumps(b.raw))

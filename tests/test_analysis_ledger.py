@@ -13,6 +13,7 @@ from repro.analysis import (
     record_from_bench,
     record_from_manifest,
 )
+from repro.analysis.ledger import mad, median
 
 
 def _record(value, suite="perf", metric="SPMV/gc.normalized_cost", ts="t0"):
@@ -67,15 +68,30 @@ class TestRecords:
         assert rec["metrics"]["simulate:SPMV/gc.ipc"] == 0.5
         assert rec["metrics"]["campaign.task_seconds"] == 1.5
 
-    def test_record_from_manifest_averages_repeated_labels(self):
+    def test_record_from_manifest_counts_same_key_repeats_once(self):
+        task = {"label": "simulate:SPMV/gc", "key": "k32", "failed": False,
+                "metrics": {"l1.miss_rate": 0.702}}
+        rec = record_from_manifest({"tasks": [task, dict(task)]},
+                                   timestamp="t")
+        assert rec["metrics"]["simulate:SPMV/gc.l1.miss_rate"] == 0.702
+
+    def test_record_from_manifest_refuses_a_label_with_two_keys(self):
         manifest = {"tasks": [
-            {"label": "simulate:SPMV/gc", "failed": False,
-             "metrics": {"l1.miss_rate": 0.4}},
-            {"label": "simulate:SPMV/gc", "failed": False,
-             "metrics": {"l1.miss_rate": 0.6}},
+            {"label": "simulate:SPMV/gc", "key": "k32", "failed": False,
+             "metrics": {"l1.miss_rate": 0.702}},
+            {"label": "simulate:SPMV/gc", "key": "k64", "failed": False,
+             "metrics": {"l1.miss_rate": 0.656}},
         ]}
-        rec = record_from_manifest(manifest, timestamp="t")
-        assert rec["metrics"]["simulate:SPMV/gc.l1.miss_rate"] == 0.5
+        with pytest.raises(AnalysisError, match="k32 and k64"):
+            record_from_manifest(manifest, timestamp="t")
+
+
+class TestRobustStatistics:
+    def test_median_and_mad(self):
+        assert median([3.0, 1.0, 2.0]) == 2.0
+        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
+        assert mad([1.0, 1.0, 1.0]) == 0.0
+        assert mad([1.0, 2.0, 3.0]) == 1.0
 
 
 class TestLedgerIO:

@@ -5,6 +5,7 @@ consistent), not paper-shape numbers — the shape checks live in
 benchmarks/, which run at experiment scale.
 """
 
+import json
 import re
 
 import pytest
@@ -160,6 +161,29 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Figure 8" in out
+
+    def test_size_figures_honour_benchmarks(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        path = tmp_path / "fig3.json"
+        rc = main(["--scale", "0.02", "--only", "fig3", "--benchmarks", "SPMV",
+                   "--no-cache", "--jobs", "1", "--manifest", str(path)])
+        assert rc == 0
+        tasks = json.loads(path.read_text())["tasks"]
+        assert len(tasks) == 4  # one per swept L1 size
+        assert {t["benchmark"] for t in tasks} == {"SPMV"}
+        assert "Figure 3" in capsys.readouterr().out
+
+    def test_size_figures_skip_without_cache_sensitive_benchmarks(
+            self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        path = tmp_path / "fig4.json"
+        rc = main(["--scale", "0.02", "--only", "fig4", "--benchmarks", "SD1",
+                   "--no-cache", "--jobs", "1", "--manifest", str(path)])
+        assert rc == 0
+        assert json.loads(path.read_text())["tasks"] == []
+        assert "[skip] fig3/fig4" in capsys.readouterr().out
 
     def test_main_rejects_unknown_experiment(self):
         from repro.experiments.__main__ import main

@@ -28,7 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.policies.base import NullManagementPolicy
 from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
+from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.core.gcache import GCacheConfig
@@ -282,6 +284,20 @@ def test_tick_with_a_hit_hook_is_refused(config):
         make_l1_mgmt=_TickingPDP,
     )
     with pytest.raises(FunctionalUnsupportedError, match="tick"):
+        FunctionalEngine(config, design)
+
+
+def test_unmodelled_replacement_policy_is_refused(config):
+    """The walk and burst kernels inline LRU and SRRIP only; an OPT L1
+    (the Section 3.1 oracle, which ``replay(oracle=True)`` covers) is
+    refused at construction."""
+    design = DesignSpec(
+        key="opt",
+        label="Belady OPT L1",
+        make_l1_replacement=BeladyPolicy,
+        make_l1_mgmt=NullManagementPolicy,
+    )
+    with pytest.raises(FunctionalUnsupportedError, match="BeladyPolicy"):
         FunctionalEngine(config, design)
 
 
