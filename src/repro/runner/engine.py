@@ -304,7 +304,10 @@ class CampaignEngine:
         jobs: Worker process count; ``None`` means ``os.cpu_count()``,
             ``1`` forces fully serial in-process execution.
         cache: Persistent result cache, or ``None`` to disable all reads
-            and writes (the ``--no-cache`` path).
+            and writes (the ``--no-cache`` path).  Without one, the
+            engine keeps the payloads it computed in memory for its
+            lifetime, so a later batch repeating a key is served from
+            there (recorded as cached) instead of recomputing it.
         salt: Code-version salt folded into every key; defaults to
             :func:`repro.runner.cache.default_salt`.
         retries: Failures tolerated per task before it is declared
@@ -380,6 +383,8 @@ class CampaignEngine:
         self.interrupted = False
         self._journaled_keys: Dict[str, Dict[str, Any]] = {}
         self._completions = 0  # executed completions (interrupt_after hook)
+        #: Payloads computed here, by key, when there is no cache.
+        self._computed: Dict[str, Any] = {}
         if self.resume:
             self._journaled_keys = self.journal.load()
             self.journal.seen(self._journaled_keys)
@@ -421,7 +426,10 @@ class CampaignEngine:
             if key in payloads or key in queued:
                 continue
             resumed = self.resume and key in self._journaled_keys
-            hit = self.cache.get(key) if self.cache is not None else MISS
+            if self.cache is not None:
+                hit = self.cache.get(key)
+            else:
+                hit = self._computed.get(key, MISS)
             if hit is not MISS:
                 payloads[key] = hit
                 if resumed:
@@ -715,7 +723,9 @@ class CampaignEngine:
     ) -> None:
         state.done = True
         payloads[state.key] = payload
-        if self.cache is not None:
+        if self.cache is None:
+            self._computed[state.key] = payload
+        else:
             self.cache.put(state.key, payload)
             if (
                 self.faults is not None

@@ -154,10 +154,11 @@ class TestAblationHarnesses:
 
 
 class TestCLI:
-    def test_main_tiny(self, capsys):
+    def test_main_tiny(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
-        rc = main(["--scale", "0.05", "--only", "fig8", "--benchmarks", "SD1"])
+        rc = main(["--scale", "0.05", "--only", "fig8", "--benchmarks", "SD1",
+                   "--cache-dir", str(tmp_path / "cache")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Figure 8" in out
@@ -184,6 +185,33 @@ class TestCLI:
         assert rc == 0
         assert json.loads(path.read_text())["tasks"] == []
         assert "[skip] fig3/fig4" in capsys.readouterr().out
+
+    def test_no_cache_computes_each_shared_key_once(self, tmp_path, capsys):
+        """Fig. 3's 32 KB ``bs`` run is Fig. 8's baseline: without a
+        persistent cache the engine serves the second figure's repeat
+        from the payload it computed for the first, and renders the same
+        tables as a cached run."""
+        from repro.experiments.__main__ import main
+
+        def tables(extra, name):
+            path = tmp_path / name
+            rc = main(["--scale", "0.02", "--only", "fig3,fig8",
+                       "--benchmarks", "SPMV", "--jobs", "1",
+                       "--manifest", str(path)] + extra)
+            assert rc == 0
+            out = capsys.readouterr().out
+            return out[: out.index("Campaign summary")], json.loads(
+                path.read_text())["tasks"]
+
+        fresh, tasks = tables(["--no-cache"], "no-cache.json")
+        computed = [t["key"] for t in tasks if not t["cached"]]
+        assert len(computed) == len(set(computed))
+        assert {t["key"] for t in tasks if t["cached"]} <= set(computed)
+        assert len(tasks) > len(computed)
+        cached, _ = tables(
+            ["--cache-dir", str(tmp_path / "cache")], "cached.json"
+        )
+        assert fresh == cached
 
     def test_main_rejects_unknown_experiment(self):
         from repro.experiments.__main__ import main

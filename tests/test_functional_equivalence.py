@@ -23,12 +23,15 @@ changing what they measure.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import zip_longest
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies.base import NullManagementPolicy
+from repro.cache.cache import Cache
+from repro.cache.policies.base import FillContext, NullManagementPolicy
 from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
 from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.lru import LRUPolicy
@@ -41,7 +44,8 @@ from repro.sim.functional import (
     FunctionalUnsupportedError,
     functional_replay,
 )
-from repro.sim.replay import SCHEDULERS, replay
+from repro.sim.functional import engine as engine_mod
+from repro.sim.replay import SCHEDULERS, build_core_streams, replay
 from repro.trace.suite import build_benchmark
 from repro.trace.trace import CTATrace, KernelTrace, OP_ALU, OP_LOAD, OP_STORE
 
@@ -92,6 +96,22 @@ def _design(key: str) -> DesignSpec:
                 counter_bits=3, epoch_accesses=16
             ),
         )
+    if key == "spdp-quantized":
+        # PD 20 in 3-bit counters: one decrement every 3 set accesses.
+        return DesignSpec(
+            key="spdp-quantized",
+            label="Static PDP (PD 20, 3-bit, step 3)",
+            make_l1_replacement=LRUPolicy,
+            make_l1_mgmt=lambda: StaticPDPPolicy(pd=20, counter_bits=3),
+        )
+    if key == "spdp-no-bypass":
+        # A fully protected set evicts its smallest PDC instead.
+        return DesignSpec(
+            key="spdp-no-bypass",
+            label="Static PDP without bypass (PD 8)",
+            make_l1_replacement=LRUPolicy,
+            make_l1_mgmt=lambda: StaticPDPPolicy(pd=8, bypass=False),
+        )
     return make_design(key)
 
 
@@ -100,6 +120,15 @@ ALL_DESIGNS = tuple(DESIGN_KEYS) + (
     "gc-tick-only",
     "gc-m-small-epoch",
     "pdp-small-epoch",
+    "pdp-tiny-epoch",
+    "spdp-quantized",
+    "spdp-no-bypass",
+)
+
+#: The designs on the PDP burst route.
+PDP_DESIGNS = (
+    "pdp-3", "pdp-8", "spdp-b", "spdp-quantized", "spdp-no-bypass",
+    "pdp-small-epoch", "pdp-tiny-epoch",
 )
 
 #: One design per policy family, for the expensive sweeps.
@@ -203,16 +232,26 @@ def test_engine_drives_the_designs_own_policies(key, config):
 
 # ---------------------------------------------------------------------------
 # Routing: a design with no management hooks, no tick and no victim bits
-# replays as L1 and L2 bursts; every other design takes the one scalar
-# walk, whose heap carries only hint-capable load misses.
+# replays as L1 and L2 bursts; PDP without victim bits as PDP and L2
+# bursts; every other design takes the one scalar walk, whose heap
+# carries only hint-capable load misses.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("key", ("pdp-8", "spdp-b"))
-def test_hint_free_managed_designs_burst_l2(key, spmv_trace, config):
+def test_hint_free_managed_designs_burst_l2(
+    key, spmv_trace, config, monkeypatch
+):
+    """PDP without victim bits takes the PDP burst, never the walk."""
+
+    def no_walk(*_):
+        raise AssertionError("the PDP burst route entered the walk")
+
+    monkeypatch.setattr(FunctionalEngine, "_drain_missheap", no_walk)
     engine = FunctionalEngine(config, _design(key), profile=True)
     engine.run(spmv_trace)
     assert engine.phase_seconds["burst"] > 0
+    assert engine.phase_seconds["scalar_event"] == 0
 
 
 @pytest.mark.parametrize("key", ("dbp", "gc"))
@@ -587,14 +626,15 @@ def burst_adversarial_kernels(draw):
 
 
 #: The designs that exercise each replay route: the L1 + L2 bursts
-#: (bs, bs-s) and the walk.  On the walk: fill hooks only (dbp); hit and
-#: miss hooks on every access (pdp-3, spdp-b), with PD recomputes at
-#: epoch boundaries (pdp-tiny-epoch); hint-capable misses on the heap
-#: beside parked stores and first-load misses (gc, gc-m); and periodic
-#: ticks between inline first-load fills (gc-fast-shutdown).
+#: (bs, bs-s); the PDP burst, static (spdp-b, with quantized decrements
+#: and without bypass) and dynamic (pdp-3, pdp-8), with PD recomputes
+#: at epoch boundaries (pdp-tiny-epoch); and the walk.  On the walk:
+#: fill hooks only (dbp); hint-capable misses on the heap beside parked
+#: stores and first-load misses (gc, gc-m); and periodic ticks between
+#: inline first-load fills (gc-fast-shutdown).
 BURST_PATH_DESIGNS = (
-    "bs", "bs-s", "dbp", "pdp-3", "spdp-b", "pdp-tiny-epoch", "gc", "gc-m",
-    "gc-fast-shutdown",
+    "bs", "bs-s", "dbp", "pdp-3", "pdp-8", "spdp-b", "spdp-quantized",
+    "spdp-no-bypass", "pdp-tiny-epoch", "gc", "gc-m", "gc-fast-shutdown",
 )
 
 #: The miss heap's seed walks at their edges: core 1's stream is stores
@@ -639,3 +679,198 @@ def test_burst_adversarial_share_factor_match_oracle(key, share, trace):
 @given(trace=burst_adversarial_kernels(), scheduler=st.sampled_from(SCHEDULERS))
 def test_burst_adversarial_schedulers_match_oracle(trace, scheduler):
     assert_equivalent(trace, ADV_CONFIG, _design("bs"), scheduler=scheduler)
+
+
+# ---------------------------------------------------------------------------
+# The PDP burst's PD schedule
+#
+# A dynamic PDP policy observes every load and every store *hit*, and
+# recomputes its PD each ``epoch_accesses`` observations.  The burst
+# plans the epochs from the loads alone, then re-plans from the store
+# hits it found, until the plan stops changing.  A store hit before an
+# epoch end moves that end, so these kernels need a second round.
+# ---------------------------------------------------------------------------
+
+
+def _count_rounds():
+    """Patch the engine's PDP burst with a counting wrapper."""
+    return mock.patch.object(
+        engine_mod, "pdp_burst", wraps=engine_mod.pdp_burst
+    )
+
+
+#: The load, then store, of one line at the start of core 0's stream:
+#: the load fills a cold way (PD 4 protects it), so the store hits, and
+#: the loads after it reach the first 16-observation epoch end.
+MOVED_EPOCH_END = KernelTrace(
+    name="MOVED-EPOCH-END",
+    ctas=[CTATrace(warps=[
+        [_mem_op([0], False), _mem_op([0], True)]
+        + [_mem_op([line], False) for line in range(1, 24)]
+    ])],
+)
+
+
+@st.composite
+def store_hit_epoch_kernels(draw):
+    """Store-hit-heavy kernels in which a store hit moves an epoch end.
+
+    CTA 0 (core 0) opens as :data:`MOVED_EPOCH_END` does; then every
+    warp loops over small working sets, storing to the lines it has
+    loaded.  At most two other warps run between the load and the store
+    of CTA 0's first line, and the line stays protected meanwhile.
+    """
+    ctas = []
+    for c in range(draw(st.integers(1, 4))):
+        warps = []
+        for w in range(draw(st.integers(1, 3))):
+            prog = []
+            if c == w == 0:
+                prog += [_mem_op([0], False), _mem_op([0], True)]
+                prog += [_mem_op([line], False) for line in range(1, 17)]
+            for _ in range(draw(st.integers(1, 3))):
+                ws = draw(st.lists(
+                    st.integers(0, 4 * _NUM_SETS), min_size=1, max_size=6,
+                    unique=True,
+                ))
+                for _ in range(draw(st.integers(1, 4))):
+                    for line in ws:
+                        prog.append(_mem_op([line], False))
+                        if draw(st.booleans()):
+                            prog.append(_mem_op([line], True))
+            warps.append(prog)
+        ctas.append(CTATrace(warps=warps))
+    return KernelTrace(name="STORE-HIT-EPOCH", ctas=ctas)
+
+
+@settings(max_examples=25, deadline=None)
+@given(trace=store_hit_epoch_kernels())
+@example(trace=MOVED_EPOCH_END)
+def test_store_hits_moving_an_epoch_end_match_oracle(trace):
+    with _count_rounds() as burst:
+        assert_equivalent(trace, ADV_CONFIG, _design("pdp-tiny-epoch"))
+    assert burst.call_count >= 2
+
+
+def test_round_cap_falls_back_to_the_walk_exactly(monkeypatch):
+    """Past the round cap the trial rounds are dropped and the run
+    takes the walk, with the oracle's counters."""
+    design = _design("pdp-tiny-epoch")
+    with _count_rounds() as burst:
+        functional_replay(MOVED_EPOCH_END, ADV_CONFIG, design)
+    assert burst.call_count == 2
+    monkeypatch.setattr(engine_mod, "_SCHEDULE_ROUNDS", 1)
+    with mock.patch.object(
+        FunctionalEngine, "_run_missheap", autospec=True,
+        side_effect=FunctionalEngine._run_missheap,
+    ) as walk:
+        assert_equivalent(MOVED_EPOCH_END, ADV_CONFIG, design)
+    assert walk.call_count == 1
+
+
+def _oracle_l1s(traces, config, design):
+    """The oracle's L1 caches after a warm kernel sequence: ``replay``'s
+    round-robin walk over each kernel's streams, on one set of caches,
+    with one clock.  PDP takes no victim hint, so L2 plays no part."""
+    l1s = [
+        Cache(
+            f"L1[{i}]", config.l1_size, config.l1_ways, config.line_size,
+            replacement=design.make_l1_replacement(),
+            mgmt=design.make_l1_mgmt(),
+        )
+        for i in range(config.num_cores)
+    ]
+    now = 0
+    for trace in traces:
+        for row in zip_longest(*build_core_streams(trace, config)):
+            for core, txn in enumerate(row):
+                if txn is None:
+                    continue
+                now += 1
+                line, write = txn
+                l1 = l1s[core]
+                if write:
+                    l1.lookup(line, now, is_write=True)
+                elif not l1.lookup(line, now).hit:
+                    l1.fill(line, now, FillContext(line_addr=line, src_id=core))
+    return l1s
+
+
+def _pdp_state(policy):
+    """Every piece of PDP state a later access can read."""
+    state = {"ticks": list(policy._set_ticks), "pd": policy.pd}
+    if isinstance(policy, DynamicPDPPolicy):
+        sampler = policy._sampler
+        state.update(
+            pd_history=list(policy.pd_history),
+            since_epoch=policy._since_epoch,
+            fifos={s: list(f) for s, f in sampler._fifos.items()},
+            rdd=list(sampler.rdd),
+            total=sampler.total,
+        )
+    return state
+
+
+@pytest.mark.parametrize(
+    "key", ("pdp-tiny-epoch", "pdp-small-epoch", "spdp-quantized",
+            "spdp-no-bypass")
+)
+def test_warm_pdp_sequence_matches_oracle_state(key, config):
+    """A warm two-kernel sequence leaves every core's PDP state, PDCs,
+    tags and fill times as the oracle's policy objects and caches do,
+    and the same L1 counters."""
+    traces = [
+        build_benchmark("SPMV", scale=0.03, seed=7),
+        build_benchmark("KMN", scale=0.05, seed=3),
+    ]
+    design = _design(key)
+    engine = FunctionalEngine(config, design)
+    for trace in traces:
+        engine.run(trace)
+    oracle = _oracle_l1s(traces, config, design)
+    for l1, state, cache in zip(engine.l1, engine.mgmt, oracle):
+        assert _pdp_state(state) == _pdp_state(cache.mgmt)
+        for plane in ("tag", "pd_counter", "fill_time", "use_count"):
+            assert getattr(l1, plane) == getattr(cache.store, plane), plane
+    if key.startswith("pdp"):
+        assert max(len(p.pd_history) for p in engine.mgmt) > 2
+    merged = oracle[0].stats
+    for cache in oracle[1:]:
+        merged.merge(cache.stats)
+    fast = engine.result().l1
+    for cache in oracle:
+        cache.finalize()
+    assert fast.snapshot() == merged.snapshot()
+
+
+_L1_PLANES = (
+    "tag", "stamp", "rrpv", "use_count", "fill_time", "pd_counter",
+    "valid_count",
+)
+
+
+@pytest.mark.parametrize("key", ("pdp-tiny-epoch", "spdp-no-bypass"))
+def test_pdp_burst_leaves_the_walks_state(key, config, monkeypatch):
+    """On a warm sequence the burst leaves each L1 exactly as the walk
+    does, replacement stamps and per-core LRU clocks included."""
+    traces = [
+        build_benchmark("SPMV", scale=0.03, seed=7),
+        build_benchmark("KMN", scale=0.05, seed=3),
+    ]
+
+    def replay_all():
+        engine = FunctionalEngine(config, _design(key))
+        for trace in traces:
+            engine.run(trace)
+        return engine
+
+    burst = replay_all()
+    monkeypatch.setattr(engine_mod, "_SCHEDULE_ROUNDS", 0)
+    walk = replay_all()
+    assert burst._repl_st == walk._repl_st
+    for a, b in zip(burst.l1, walk.l1):
+        for plane in _L1_PLANES:
+            assert getattr(a, plane) == getattr(b, plane), plane
+    for a, b in zip(burst.mgmt, walk.mgmt):
+        assert _pdp_state(a) == _pdp_state(b)
+    assert burst.result().l1.snapshot() == walk.result().l1.snapshot()
