@@ -35,6 +35,11 @@ Usage::
     # the timing engine by >= 8x on the design-sweep workload
     python benchmarks/perf_suite.py --functional-gate
 
+    # ...against a base checkout on the same machine: base timing over
+    # head functional >= 8x, and the head's functional sweep no more
+    # than --threshold (1.10) x the base's
+    python benchmarks/perf_suite.py --functional-gate --base base/src
+
     # ...with a per-benchmark burst/scalar phase breakdown
     python benchmarks/perf_suite.py --functional-gate --profile-phases
 """
@@ -303,11 +308,22 @@ def functional_gate(
     profile_phases: bool = False,
     ledger: Optional[str] = None,
     ledger_suite: str = "functional-gate",
+    base: Optional[str] = None,
+    slowdown: float = 1.10,
 ) -> int:
     """Fail (return 1) unless the functional backend beats the timing
-    engine by at least ``threshold``x across the sweep suite.
+    engine by at least ``threshold``x across the sweep suite and, with
+    a ``base`` tree, runs no more than ``slowdown``x the base's time.
 
-    Gated on the suite total (sum of per-benchmark best times): one
+    With ``base`` (the ``src/`` of a baseline checkout), each benchmark
+    times the sweep on both trees on the same runner, and the ratio
+    divides the *base* tree's timing seconds by the head's functional
+    seconds: a timing-engine change cannot move it within one change.
+    The head's functional sweep also fails past ``slowdown``x the
+    base's.  The head's own timing/functional ratio (the gate without a
+    base) prints beside it.
+
+    Gated on suite totals (sum of per-benchmark best times): one
     kernel's subprocess landing on a noisy core shifts its own ratio by
     ~15%, but the total — three subprocesses, interleaved fidelities
     inside each — stays put.  Per-benchmark ratios print as advisory.
@@ -317,31 +333,50 @@ def functional_gate(
 
     ``profile_phases`` adds a per-benchmark breakdown of where the
     functional side's time goes (burst kernels vs scalar walks and
-    event loops); ``ledger`` appends the per-benchmark records — with
-    the breakdown when profiled — to the perf/accuracy ledger.
+    event loops); ``ledger`` appends the head's per-benchmark records —
+    with the breakdown when profiled — to the perf/accuracy ledger.
     """
     print(f"-- functional gate (design sweep: {', '.join(FUNCTIONAL_DESIGNS)}) --")
     total_timing = total_functional = 0.0
+    base_timing = base_functional = 0.0
     round_timing = [0.0] * repeats
     round_functional = [0.0] * repeats
     records: List[Dict[str, object]] = []
-    for benchmark in benchmarks or FUNCTIONAL_BENCHMARKS:
-        rec = time_functional_sweep(
-            src, benchmark, None, scale, repeats, seed,
-            profile_phases=profile_phases,
-        )
+    for i, benchmark in enumerate(benchmarks or FUNCTIONAL_BENCHMARKS):
+        def sweep(tree, profile=False):
+            return time_functional_sweep(
+                tree, benchmark, None, scale, repeats, seed,
+                profile_phases=profile,
+            )
+
+        if base is not None:
+            # Alternate which tree goes first, so drift hits both.
+            if i % 2:
+                ref, rec = sweep(base), sweep(src, profile_phases)
+            else:
+                rec, ref = sweep(src, profile_phases), sweep(base)
+            base_timing += ref["timing_seconds"]
+            base_functional += ref["functional_seconds"]
+        else:
+            rec = sweep(src, profile_phases)
         records.append(rec)
         total_timing += rec["timing_seconds"]
         total_functional += rec["functional_seconds"]
-        for i in range(repeats):
-            round_timing[i] += rec["timing_rounds"][i]
-            round_functional[i] += rec["functional_rounds"][i]
-        print(
+        for r in range(repeats):
+            round_timing[r] += rec["timing_rounds"][r]
+            round_functional[r] += rec["functional_rounds"][r]
+        line = (
             f"{benchmark:<6} timing {rec['timing_seconds']:.3f}s  "
             f"functional {rec['functional_seconds']:.3f}s  "
             f"speedup {rec['speedup']:.2f}x  "
-            + _rounds_text(rec["timing_rounds"], rec["functional_rounds"])
         )
+        if base is not None:
+            line += (
+                f"base timing {ref['timing_seconds']:.3f}s  functional "
+                f"{ref['functional_seconds']:.3f}s  "
+            )
+        print(line + _rounds_text(rec["timing_rounds"],
+                                  rec["functional_rounds"]))
         if "phase_split" in rec:
             split = rec["phase_split"]
             instrumented = sum(rec["phase_seconds"].values())
@@ -366,19 +401,39 @@ def functional_gate(
         Ledger(ledger).append(record)
         print(f"[ledger] appended {ledger_suite} record "
               f"({len(record['metrics'])} metrics) -> {ledger}")
-    total = total_timing / total_functional
-    verdict = "OK" if total >= threshold else "FAIL"
+    own = total_timing / total_functional
     print(
         f"TOTAL  timing {total_timing:.3f}s  "
         f"functional {total_functional:.3f}s  "
-        f"speedup {total:.2f}x (>= {threshold:.1f}x) {verdict}  "
+        f"speedup {own:.2f}x  "
         + _rounds_text(round_timing, round_functional)
     )
-    if total < threshold:
+    failures = []
+    if base is None:
+        speedup = own
+        label = "head timing / head functional"
+    else:
+        speedup = base_timing / total_functional
+        label = "base timing / head functional"
+        ratio = total_functional / base_functional
+        verdict = "OK" if ratio <= slowdown else "FAIL"
         print(
-            f"FAIL: functional backend under {threshold:.1f}x overall",
-            file=sys.stderr,
+            f"BASE   timing {base_timing:.3f}s  "
+            f"functional {base_functional:.3f}s  "
+            f"head/base functional {ratio:.3f} (<= {slowdown:.2f}) {verdict}"
         )
+        if ratio > slowdown:
+            failures.append(
+                f"functional sweep {ratio:.3f}x the base's "
+                f"(> {slowdown:.2f}x)"
+            )
+    verdict = "OK" if speedup >= threshold else "FAIL"
+    print(f"GATE   {label} {speedup:.2f}x (>= {threshold:.1f}x) {verdict}")
+    if speedup < threshold:
+        failures.append(f"functional backend under {threshold:.1f}x overall")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
     print(f"OK: functional backend >= {threshold:.1f}x overall")
     return 0
@@ -532,7 +587,8 @@ def main() -> int:
                         help="suite passes; keeps the per-key median "
                              "(default 1, or 3 with --write-baseline)")
     parser.add_argument("--threshold", type=float, default=1.10,
-                        help="max allowed head/base cost ratio")
+                        help="max allowed head/base cost ratio (with "
+                             "--functional-gate: of the functional sweep)")
     parser.add_argument("--functional-gate", action="store_true",
                         help="assert the functional backend beats the "
                              "timing engine on the design-sweep workload")
@@ -561,6 +617,8 @@ def main() -> int:
                 args.ledger_suite if args.ledger_suite != "perf-gate"
                 else "functional-gate"
             ),
+            base=args.base,
+            slowdown=args.threshold,
         )
 
     head = run_suite(

@@ -24,7 +24,10 @@ an offline sweep on the functional backend, minimizing L1 miss rate
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.runner import CampaignEngine, ResultCache, Task
 from repro.runner.task import PD_SWEEP, sweep_optimal_pd
@@ -175,6 +178,8 @@ class EvalSuite:
     # Lazily-built artefacts
     # ------------------------------------------------------------------
     def trace(self, benchmark: str) -> KernelTrace:
+        """The workload's trace, memoized until released (see
+        :meth:`_holding`)."""
         if benchmark not in self._traces:
             if benchmark in self._scenarios:
                 from repro.scenarios import build_scenario
@@ -189,13 +194,27 @@ class EvalSuite:
                 )
         return self._traces[benchmark]
 
+    @contextmanager
+    def _holding(self, benchmark: str) -> Iterator[None]:
+        """Memoize the workload's trace for the block, attached to its
+        tasks as a shortcut, and release it after the outermost block:
+        a campaign that runs one workload at a time then holds one
+        trace at a time."""
+        held = benchmark in self._traces
+        self.trace(benchmark)
+        try:
+            yield
+        finally:
+            if not held:
+                del self._traces[benchmark]
+
     def optimal_pd(self, benchmark: str) -> int:
         """The SPDP-B protecting distance for ``benchmark`` (Table 3)."""
         if benchmark not in self._optimal_pds:
-            self.trace(benchmark)  # memoize once; attached as a shortcut
-            self._optimal_pds[benchmark] = self.engine.run_one(
-                self._pd_task(benchmark, inline=True)
-            )
+            with self._holding(benchmark):
+                self._optimal_pds[benchmark] = self.engine.run_one(
+                    self._pd_task(benchmark, inline=True)
+                )
         return self._optimal_pds[benchmark]
 
     def _design_for(self, key: str, benchmark: str) -> DesignSpec:
@@ -207,10 +226,11 @@ class EvalSuite:
         """Simulate (benchmark, design) through the engine, memoized."""
         cache_key = (benchmark, design)
         if cache_key not in self._results:
-            self.trace(benchmark)  # memoize once; attached as a shortcut
-            self._results[cache_key] = self.engine.run_one(
-                self._sim_task(benchmark, design, inline=True)
-            )
+            # An spdp-b task's PD sweep runs inside, on the same trace.
+            with self._holding(benchmark):
+                self._results[cache_key] = self.engine.run_one(
+                    self._sim_task(benchmark, design, inline=True)
+                )
         return self._results[cache_key]
 
     # ------------------------------------------------------------------

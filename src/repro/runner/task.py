@@ -34,8 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
 from repro.sim.functional.engine import (
+    FunctionalEngine,
     build_run_arrays,
-    functional_replay,
     stream_scheduler,
 )
 from repro.sim.simulator import FIDELITIES, simulate
@@ -87,16 +87,18 @@ def sweep_optimal_pd(
     Replays every candidate on the functional backend over one ``lrr``
     array build and picks the PD with the lowest L1 miss rate; ties go
     to the smaller PD (cheaper hardware).  SPDP-B takes no L2 hints, so
-    its L1 counters equal the ``replay()`` oracle's L1-only run.
+    each candidate runs the PDP route's L1 half alone, and its L1
+    counters equal the ``replay()`` oracle's L1-only run.
     """
     arrays = build_run_arrays(trace, config, "lrr")
     best_pd = candidates[0]
     best_miss = float("inf")
     for pd in candidates:
-        result = functional_replay(
-            trace, config, make_design("spdp-b", pd=pd), arrays=arrays
-        )
-        miss = result.l1.miss_rate
+        engine = FunctionalEngine(config, make_design("spdp-b", pd=pd))
+        engine.pdp_l1(arrays)
+        accesses = engine.l1_loads + engine.l1_stores
+        hits = engine.l1_load_hits + engine.l1_store_hits
+        miss = (accesses - hits) / accesses if accesses else 0.0
         if miss < best_miss - 1e-9:
             best_miss = miss
             best_pd = pd

@@ -23,9 +23,11 @@ threshold (a few long, skewed groups — e.g. a set-conflict storm), the
 remaining events finish in a tight per-group scalar loop, so wall-clock
 never degrades to one vector op per event.
 
-Three kernels share that scaffolding: :func:`l1_burst` (null-management
-L1s), :func:`pdp_burst` (protecting-distance L1s, whose state is per set
-too) and :func:`l2_burst`.
+Four kernels share that scaffolding: :func:`l1_burst` (null-management
+LRU L1s), :func:`pdp_burst` (protecting-distance L1s, whose state is per
+set too), :func:`gcache_burst` (G-Cache L1s under fixed victim hints,
+and hint-free SRRIP L1s) and :func:`l2_burst`, which also reports each
+load's victim hint.
 """
 
 from __future__ import annotations
@@ -34,7 +36,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["count_into", "csr_group", "l1_burst", "l2_burst", "pdp_burst"]
+__all__ = [
+    "count_into",
+    "csr_group",
+    "gcache_burst",
+    "l1_burst",
+    "l2_burst",
+    "l2_commit",
+    "l2_counters",
+    "l2_planes",
+    "pdp_burst",
+]
 
 #: Below this many active groups a vectorized round costs more than the
 #: per-group scalar tail; measured crossover is ~20-40 on CPython 3.12.
@@ -90,9 +102,6 @@ def count_into(reuse, values: List[np.ndarray]) -> None:
 def l1_burst(
     l1s: List,
     num_sets: int,
-    lru: bool,
-    max_rrpv: int,
-    insertion_rrpv: int,
     repl_st: List,
     group: np.ndarray,
     line: np.ndarray,
@@ -100,17 +109,18 @@ def l1_burst(
     reuse,
     tail_threshold: int = _TAIL_THRESHOLD,
 ) -> Tuple[int, int, int, int, int, int, np.ndarray]:
-    """Replay every core's whole L1 stream grouped by (core, set).
+    """Replay every core's whole LRU L1 stream grouped by (core, set).
 
     Only valid for **null-management** designs (no fill/evict/insert
     hooks, no tick): L1 state is then core-private and every decision —
-    hit classification, LRU/SRRIP victim selection, insertion — is a
-    pure per-(core, set) function, so the per-set ordering argument that
+    hit classification, LRU victim selection, insertion — is a pure
+    per-(core, set) function, so the per-set ordering argument that
     justifies :func:`l2_burst` applies verbatim with "set" meaning
-    "(core, set)".  LRU stamps use a per-group clock (only within-set
-    stamp order is observable; each core's shared counter ``repl_st`` is
+    "(core, set)".  Stamps use a per-group clock (only within-set stamp
+    order is observable; each core's shared counter ``repl_st`` is
     re-seeded to its resident maximum afterwards so later scalar kernels
-    stay monotone).
+    stay monotone).  A null-management SRRIP L1 runs as a hint-free
+    :func:`gcache_burst` instead.
 
     ``group`` is ``core * num_sets + l1_set`` over the cores'
     concatenated streams; ``line``/``write`` are the matching columns.
@@ -137,17 +147,10 @@ def l1_burst(
     vc = np.array(
         [l1.valid_count for l1 in l1s], dtype=np.int64
     ).reshape(n_rows)
-    if lru:
-        stamp2d = np.array(
-            [l1.stamp for l1 in l1s], dtype=np.int64
-        ).reshape(n_rows, ways)
-        tick = stamp2d.max(axis=1)
-        rrpv2d = None
-    else:
-        rrpv2d = np.array(
-            [l1.rrpv for l1 in l1s], dtype=np.int64
-        ).reshape(n_rows, ways)
-        stamp2d = tick = None
+    stamp2d = np.array(
+        [l1.stamp for l1 in l1s], dtype=np.int64
+    ).reshape(n_rows, ways)
+    tick = stamp2d.max(axis=1)
 
     perm, gids, starts, counts = csr_group(group)
     ln = line[perm]
@@ -157,8 +160,7 @@ def l1_burst(
     # scatter beats NumPy's 2-array fancy indexing in the round loop.
     tag1 = tag2d.reshape(-1)
     use1 = use2d.reshape(-1)
-    stamp1 = stamp2d.reshape(-1) if lru else None
-    rrpv1 = rrpv2d.reshape(-1) if not lru else None
+    stamp1 = stamp2d.reshape(-1)
 
     load_hits = store_hits = fills = evictions = 0
     miss_pos: List[np.ndarray] = []
@@ -175,16 +177,12 @@ def l1_burst(
         eq = t == lv[:, None]
         hitm = eq.any(axis=1)
         way = eq.argmax(axis=1)
-        if lru:
-            tk = tick[rows] + 1
-            tick[rows] = tk
+        tk = tick[rows] + 1
+        tick[rows] = tk
         hflat = base[hitm] + way[hitm]
         if hflat.size:
             use1[hflat] += 1
-            if lru:
-                stamp1[hflat] = tk[hitm]
-            else:
-                rrpv1[hflat] = 0
+            stamp1[hflat] = tk[hitm]
             hw = w[hitm]
             sh = int(np.count_nonzero(hw))
             store_hits += sh
@@ -200,15 +198,7 @@ def l1_burst(
             evm = ~cold
             if evm.any():
                 erows = frows[evm]
-                if lru:
-                    vway = stamp2d[erows].argmin(axis=1)
-                else:
-                    sub = rrpv2d[erows]
-                    mx = sub.max(axis=1)
-                    vway = sub.argmax(axis=1)
-                    # Bulk-age every line to max; the victim slot is
-                    # overwritten by the insertion value below.
-                    rrpv2d[erows] += (max_rrpv - mx)[:, None]
+                vway = stamp2d[erows].argmin(axis=1)
                 wayf[evm] = vway
                 evictions += erows.size
                 evict_use.append(use1[erows * ways + vway].copy())
@@ -217,10 +207,7 @@ def l1_burst(
             fflat = base[fm] + wayf
             tag1[fflat] = lv[fm]
             use1[fflat] = 0
-            if lru:
-                stamp1[fflat] = tk[fm]
-            else:
-                rrpv1[fflat] = insertion_rrpv
+            stamp1[fflat] = tk[fm]
             fills += frows.size
 
     # Scalar tail for the few groups still active (set-conflict storms).
@@ -237,25 +224,18 @@ def l1_burst(
             seg = tag2d[gid].tolist()
             us = use2d[gid].tolist()
             vcg = int(vc[gid])
-            if lru:
-                stp = stamp2d[gid].tolist()
-                tkg = int(tick[gid])
-            else:
-                rv = rrpv2d[gid].tolist()
+            stp = stamp2d[gid].tolist()
+            tkg = int(tick[gid])
             if perm_l is None:
                 perm_l = perm.tolist()
             loc_l = ln[lo:hi].tolist()
             wr_l = wr[lo:hi].tolist()
             for o, (lvv, ww) in enumerate(zip(loc_l, wr_l)):
-                if lru:
-                    tkg += 1
+                tkg += 1
                 if lvv in seg:
                     i = seg.index(lvv)
                     us[i] += 1
-                    if lru:
-                        stp[i] = tkg
-                    else:
-                        rv[i] = 0
+                    stp[i] = tkg
                     if ww:
                         store_hits += 1
                     else:
@@ -266,31 +246,18 @@ def l1_burst(
                         i = vcg
                         vcg += 1
                     else:
-                        if lru:
-                            i = stp.index(min(stp))
-                        else:
-                            top_val = max(rv)
-                            i = rv.index(top_val)
-                            if top_val < max_rrpv:
-                                delta = max_rrpv - top_val
-                                rv = [v + delta for v in rv]
+                        i = stp.index(min(stp))
                         evictions += 1
                         tail_use.append(us[i])
                     seg[i] = lvv
                     us[i] = 0
-                    if lru:
-                        stp[i] = tkg
-                    else:
-                        rv[i] = insertion_rrpv
+                    stp[i] = tkg
                     fills += 1
             tag2d[gid] = seg
             use2d[gid] = us
             vc[gid] = vcg
-            if lru:
-                stamp2d[gid] = stp
-                tick[gid] = tkg
-            else:
-                rrpv2d[gid] = rv
+            stamp2d[gid] = stp
+            tick[gid] = tkg
         evict_use.append(np.array(tail_use, dtype=np.int64))
         if tail_miss:
             miss_pos.append(np.array(tail_miss, dtype=np.int64))
@@ -300,20 +267,14 @@ def l1_burst(
     tagf = tag2d.reshape(C, num_sets * ways)
     usef = use2d.reshape(C, num_sets * ways)
     vcf = vc.reshape(C, num_sets)
-    if lru:
-        stampf = stamp2d.reshape(C, num_sets * ways)
-        tickf = tick.reshape(C, num_sets)
-    else:
-        rrpvf = rrpv2d.reshape(C, num_sets * ways)
+    stampf = stamp2d.reshape(C, num_sets * ways)
+    tickf = tick.reshape(C, num_sets)
     for c, l1 in enumerate(l1s):
         l1.tag = tagf[c].tolist()
         l1.use_count = usef[c].tolist()
         l1.valid_count = vcf[c].tolist()
-        if lru:
-            l1.stamp = stampf[c].tolist()
-            repl_st[c][0] = int(tickf[c].max())
-        else:
-            l1.rrpv = rrpvf[c].tolist()
+        l1.stamp = stampf[c].tolist()
+        repl_st[c][0] = int(tickf[c].max())
 
     if miss_pos:
         events = np.concatenate(
@@ -532,82 +493,334 @@ def pdp_burst(
     )
 
 
-def l2_burst(
-    banks: List,
-    num_sets: int,
-    now: np.ndarray,
-    part: np.ndarray,
-    local: np.ndarray,
-    set2: np.ndarray,
+def gcache_burst(
+    planes: Dict[str, np.ndarray],
+    group: np.ndarray,
+    line: np.ndarray,
     write: np.ndarray,
-    reuse,
-    mask: Optional[np.ndarray] = None,
+    hint: np.ndarray,
+    epoch: np.ndarray,
+    now: np.ndarray,
+    params: Tuple[int, int, int, int, int, int],
     tail_threshold: int = _TAIL_THRESHOLD,
-) -> Tuple[int, int, int, int, int, int, int, int]:
-    """Replay all L2 events grouped by (bank, set), vectorized.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replay L1 accesses under G-Cache with fixed hints, grouped by
+    (core, set).
 
-    ``banks`` are the engine's ``_L2Bank`` objects; their list state is
-    loaded into stacked arrays, mutated in rounds, and written back, so
-    callers (and :meth:`FunctionalEngine.result`) keep seeing the plain
-    lists.  Eviction-time reuse generations are merged into ``reuse``
-    (a ``Counter``).  Returns ``(loads, stores, load_hits, store_hits,
-    fills, evictions, writebacks, contentions)``.
+    Valid for :class:`~repro.core.gcache.GCachePolicy` without adaptive
+    aging over SRRIP: given each load miss's victim hint, everything it
+    reads is per set.  A hit resets the line's RRPV to 0.  A load miss
+    with a hint turns its set's bypass switch on; the miss bypasses if
+    the switch is on, the set is full and every RRPV is below the hot
+    threshold (the lower victim threshold with a hint), and every
+    ``m``-th bypass of a set ages its RRPVs by one, saturating.  Other
+    load misses fill the first invalid way, else SRRIP's victim (the
+    first way holding the maximum RRPV, after aging the set to max),
+    with the hot insertion RRPV under a hint and the cold one without.
+    Store misses touch nothing (write-through no-allocate).
+
+    The periodic switch shutdown is the per-access ``epoch`` column:
+    the number of shutdowns the core has had by that access.  A switch
+    is on while the row's ``switch`` plane holds the access's epoch
+    (-1: off), so a shutdown needs no event of its own.
+
+    ``planes`` holds the stacked ``(core * num_sets + set, way)`` planes
+    ``tag``, ``rrpv``, ``use_count`` and ``fill_time`` and the per-row
+    ``valid_count``, ``switch`` and ``bypass_count``; they are updated
+    in place.  Events replay in their given order within a group.
+    ``params`` is ``(max_rrpv, th_hot, th_hot_victim, hot_insert_rrpv,
+    cold_insert_rrpv, m)``.
+
+    Returns per-event columns in input order: hit flags, bypass flags,
+    the use count of the line each fill evicted (-1 for none), the
+    flags of bypasses that aged their set, and the flags of hinted
+    misses that turned their switch on.
+    """
+    max_rrpv, th_hot, th_victim, hot_ins, cold_ins, m = params
+    n_ev = int(group.size)
+    outs = (
+        np.zeros(n_ev, dtype=np.bool_),
+        np.zeros(n_ev, dtype=np.bool_),
+        np.full(n_ev, -1, dtype=np.int32),
+        np.zeros(n_ev, dtype=np.bool_),
+        np.zeros(n_ev, dtype=np.bool_),
+    )
+    if not n_ev:
+        return outs
+    tag2d = planes["tag"]
+    rrpv2d = planes["rrpv"]
+    use2d = planes["use_count"]
+    ft2d = planes["fill_time"]
+    vc = planes["valid_count"]
+    sw = planes["switch"]
+    bcnt = planes["bypass_count"]
+    ways = tag2d.shape[1]
+    tag1 = tag2d.reshape(-1)
+    rrpv1 = rrpv2d.reshape(-1)
+    use1 = use2d.reshape(-1)
+    ft1 = ft2d.reshape(-1)
+
+    perm, gids, starts, counts = csr_group(group)
+    ln = line[perm]
+    wr = write[perm]
+    ld = ~wr
+    hn = hint[perm]
+    ep = epoch[perm]
+    nw = now[perm]
+    hit_s, byp_s, evict_s, aged_s, act_s = (
+        np.zeros(n_ev, dtype=np.bool_),
+        np.zeros(n_ev, dtype=np.bool_),
+        np.full(n_ev, -1, dtype=np.int32),
+        np.zeros(n_ev, dtype=np.bool_),
+        np.zeros(n_ev, dtype=np.bool_),
+    )
+    active = _round_plan(counts, tail_threshold)
+
+    for r, k in enumerate(active[:-1]):
+        rows = gids[:k]
+        idx = starts[:k] + r
+        eq = tag2d.take(rows, axis=0) == ln[idx][:, None]
+        hitm = eq.any(axis=1)
+        hi = hitm.nonzero()[0]
+        if hi.size:
+            hflat = rows[hi] * ways + eq.take(hi, axis=0).argmax(axis=1)
+            use1[hflat] += 1
+            rrpv1[hflat] = 0
+            hit_s[idx[hi]] = True
+        mi = (hitm < ld[idx]).nonzero()[0]
+        if not mi.size:
+            continue
+        fidx = idx[mi]
+        frows = rows[mi]
+        R = rrpv2d.take(frows, axis=0)
+        top = R.max(axis=1)
+        h = hn[fidx]
+        e = ep[fidx]
+        hinted = np.count_nonzero(h)
+        if hinted:
+            # A hinted miss turns its set's switch on.
+            hrows = frows[h]
+            act_s[fidx[h]] = sw[hrows] != e[h]
+            sw[hrows] = e[h]
+        way = vc[frows]
+        full = way >= ways
+        byp = sw[frows] == e
+        if np.count_nonzero(byp):
+            byp &= full & (
+                top < (np.where(h, th_victim, th_hot) if hinted else th_hot)
+            )
+        if np.count_nonzero(byp):
+            b = byp.nonzero()[0]
+            brows = frows[b]
+            byp_s[fidx[b]] = True
+            cnt = bcnt[brows] + 1
+            age = cnt >= m
+            bcnt[brows] = np.where(age, 0, cnt)
+            if np.count_nonzero(age):
+                # Every m-th bypass ages the (full) set, saturating.
+                rrpv2d[brows[age]] = np.minimum(R[b[age]] + 1, max_rrpv)
+                aged_s[fidx[b[age]]] = True
+            fill = ~byp
+            fidx = fidx[fill]
+            if not fidx.size:
+                continue
+            frows = frows[fill]
+            R = R[fill]
+            top = top[fill]
+            h = h[fill]
+            way = way[fill]
+            full = full[fill]
+        # SRRIP: age the set to max, evict the first way that held the
+        # maximum; the victim slot is overwritten below.
+        if np.count_nonzero(full) == full.size:
+            way = R.argmax(axis=1)
+            rrpv2d[frows] = R + (max_rrpv - top)[:, None]
+            fflat = frows * ways + way
+            evict_s[fidx] = use1[fflat]
+        else:
+            f = full.nonzero()[0]
+            if f.size:
+                erows = frows[f]
+                vway = R[f].argmax(axis=1)
+                rrpv2d[erows] = R[f] + (max_rrpv - top[f])[:, None]
+                way[f] = vway
+                evict_s[fidx[f]] = use1[erows * ways + vway]
+            vc[frows[~full]] += 1
+            fflat = frows * ways + way
+        tag1[fflat] = ln[fidx]
+        use1[fflat] = 0
+        ft1[fflat] = nw[fidx]
+        rrpv1[fflat] = np.where(h, hot_ins, cold_ins) if hinted else cold_ins
+
+    # Scalar tail for the few groups still active (set-conflict storms).
+    r = len(active) - 1
+    if active[r]:
+        t_hit: List[int] = []
+        t_byp: List[int] = []
+        t_aged: List[int] = []
+        t_act: List[int] = []
+        t_evict: List[int] = []
+        t_use: List[int] = []
+        for j in range(active[r]):
+            gid = int(gids[j])
+            lo = int(starts[j]) + r
+            hi = int(starts[j]) + int(counts[j])
+            seg = tag2d[gid].tolist()
+            rv = rrpv2d[gid].tolist()
+            us = use2d[gid].tolist()
+            ft = ft2d[gid].tolist()
+            vcg = int(vc[gid])
+            swg = int(sw[gid])
+            cg = int(bcnt[gid])
+            wr_l = wr[lo:hi].tolist()
+            hn_l = hn[lo:hi].tolist()
+            ep_l = ep[lo:hi].tolist()
+            nw_l = nw[lo:hi].tolist()
+            for o, lvv in enumerate(ln[lo:hi].tolist()):
+                if lvv in seg:
+                    i = seg.index(lvv)
+                    us[i] += 1
+                    rv[i] = 0
+                    t_hit.append(lo + o)
+                    continue
+                if wr_l[o]:
+                    continue
+                hv = hn_l[o]
+                ev = ep_l[o]
+                if hv and swg != ev:
+                    swg = ev
+                    t_act.append(lo + o)
+                top_val = max(rv)
+                if (
+                    swg == ev
+                    and vcg == ways
+                    and top_val < (th_victim if hv else th_hot)
+                ):
+                    t_byp.append(lo + o)
+                    cg += 1
+                    if cg >= m:
+                        cg = 0
+                        rv = [v + 1 if v < max_rrpv else v for v in rv]
+                        t_aged.append(lo + o)
+                    continue
+                if vcg < ways:
+                    i = vcg
+                    vcg += 1
+                else:
+                    i = rv.index(top_val)
+                    if top_val < max_rrpv:
+                        delta = max_rrpv - top_val
+                        rv = [v + delta for v in rv]
+                    t_evict.append(lo + o)
+                    t_use.append(us[i])
+                seg[i] = lvv
+                us[i] = 0
+                ft[i] = nw_l[o]
+                rv[i] = hot_ins if hv else cold_ins
+            tag2d[gid] = seg
+            rrpv2d[gid] = rv
+            use2d[gid] = us
+            ft2d[gid] = ft
+            vc[gid] = vcg
+            sw[gid] = swg
+            bcnt[gid] = cg
+        hit_s[t_hit] = True
+        byp_s[t_byp] = True
+        aged_s[t_aged] = True
+        act_s[t_act] = True
+        evict_s[t_evict] = t_use
+
+    for out, col in zip(outs, (hit_s, byp_s, evict_s, aged_s, act_s)):
+        out[perm] = col
+    return outs
+
+
+def l2_planes(
+    banks: List, num_sets: int, vb_dtype=None
+) -> Dict[str, np.ndarray]:
+    """Stack the banks' list state into ``(bank * num_sets + set, way)``
+    planes ``tag``, ``stamp``, ``use``, ``dirty`` (and ``vb`` with
+    ``vb_dtype``) and per-row ``valid_count`` and ``tick``.
+
+    The oracle's recency clock is bank-wide, but only within-set stamp
+    *order* is observable, so each row keeps its own clock, seeded from
+    its resident maximum so warm stamps stay monotone.
+    """
+    rows = len(banks) * num_sets
+    ways = banks[0].ways
+
+    def stack(name):
+        return np.array(
+            [getattr(b, name) for b in banks], dtype=np.int64
+        ).reshape(rows, -1)
+
+    planes = {name: stack(name) for name in ("tag", "stamp", "use")}
+    planes["dirty"] = np.frombuffer(
+        b"".join(bytes(b.dirty) for b in banks), dtype=np.uint8
+    ).reshape(rows, ways).copy()
+    planes["valid_count"] = stack("valid_count").reshape(rows)
+    planes["tick"] = planes["stamp"].max(axis=1)
+    if vb_dtype is not None:
+        planes["vb"] = np.array(
+            [b.vb for b in banks], dtype=vb_dtype
+        ).reshape(rows, ways)
+    return planes
+
+
+def l2_commit(planes: Dict[str, np.ndarray], banks: List) -> None:
+    """Write :func:`l2_planes` state back to the banks' plain lists."""
+    P = len(banks)
+    for name in ("tag", "stamp", "use", "valid_count", "vb"):
+        if name in planes:
+            plane = planes[name].reshape(P, -1)
+            for b, bank in enumerate(banks):
+                setattr(bank, name, plane[b].tolist())
+    dirty = planes["dirty"].reshape(P, -1)
+    tick = planes["tick"].reshape(P, -1).max(axis=1).tolist()
+    for b, bank in enumerate(banks):
+        bank.dirty = bytearray(dirty[b].tobytes())
+        bank.tick = tick[b]
+
+
+def l2_burst(
+    planes: Dict[str, np.ndarray],
+    group: np.ndarray,
+    local: np.ndarray,
+    write: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    time: Optional[np.ndarray] = None,
+    tail_threshold: int = _TAIL_THRESHOLD,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Replay L2 events grouped by (bank, set), vectorized, on
+    :func:`l2_planes` state (updated in place).
+
+    ``group`` is each event's ``bank * num_sets + set``; events replay
+    in ``time`` order within a group, or in their given order without
+    ``time``.  Returns per-event columns in input order: the hit flags,
+    the use count of the line each event evicted (-1 for none), the
+    writeback flags and, with ``mask``, the hint flags (else ``None``).
 
     ``mask`` gives each event its requester's victim-bit group mask
-    (designs with hints; object dtype once the bits outgrow 64), and the
-    victim-bit plane takes its dtype: a load hit ORs it into the bits,
-    a load fill sets them to it and a store fill clears them.  A load
-    hit that finds its bit already set is a contention the oracle would
-    have returned as a hint; ``contentions`` counts them, so a caller
-    that bursts only loads which cannot carry a hint checks it is 0.
-    Without ``mask`` the bits are left alone (they stay zero for
-    hint-free designs) and ``contentions`` is 0.
+    (designs with hints; object dtype once the bits outgrow 64), in the
+    planes' ``vb`` dtype: a load hit ORs it into the bits, a load fill
+    sets them to it and a store fill clears them.  A load hit that
+    finds its bit already set carries the oracle's victim hint: its
+    flag is set.
     """
-    n_ev = int(now.size)
-    stores = int(np.count_nonzero(write)) if n_ev else 0
-    loads = n_ev - stores
+    n_ev = int(group.size)
+    hit = np.zeros(n_ev, dtype=np.bool_)
+    evict = np.full(n_ev, -1, dtype=np.int32)
+    wback = np.zeros(n_ev, dtype=np.bool_)
+    flag = np.zeros(n_ev, dtype=np.bool_) if mask is not None else None
     if not n_ev:
-        return 0, 0, 0, 0, 0, 0, 0, 0
-    P = len(banks)
-    ways = banks[0].ways
-    # ------------------------------------------------------------------
-    # Load bank state into stacked (bank*set, way) planes.
-    # ------------------------------------------------------------------
-    tag2d = np.array([b.tag for b in banks], dtype=np.int64).reshape(
-        P * num_sets, ways
-    )
-    stamp2d = np.array([b.stamp for b in banks], dtype=np.int64).reshape(
-        P * num_sets, ways
-    )
-    use2d = np.array([b.use for b in banks], dtype=np.int64).reshape(
-        P * num_sets, ways
-    )
-    dirty2d = np.frombuffer(
-        b"".join(bytes(b.dirty) for b in banks), dtype=np.uint8
-    ).reshape(P * num_sets, ways).copy()
-    vc = np.array(
-        [b.valid_count for b in banks], dtype=np.int64
-    ).reshape(P * num_sets)
-    if mask is not None:
-        vb2d = np.array([b.vb for b in banks], dtype=mask.dtype).reshape(
-            P * num_sets, ways
-        )
-        vb1 = vb2d.reshape(-1)
-    # Per-group recency clock.  The oracle's clock is bank-wide, but only
-    # within-set stamp *order* is observable; seeding from the resident
-    # maximum keeps warm-engine stamps monotone.
-    tick = stamp2d.max(axis=1)
-
-    perm, gids, starts, counts = csr_group(part * num_sets + set2, now)
-    loc = local[perm]
-    wr = write[perm]
-    if mask is not None:
-        # Loads carry their group mask, stores 0 (a store fill clears).
-        ms = mask[perm]
-        ms[wr] = 0
-    else:
-        ms = None
-
+        return hit, evict, wback, flag
+    tag2d = planes["tag"]
+    stamp2d = planes["stamp"]
+    use2d = planes["use"]
+    dirty2d = planes["dirty"]
+    vc = planes["valid_count"]
+    tick = planes["tick"]
+    ways = tag2d.shape[1]
     # Flat views over the same buffers: one `row*ways + way` index per
     # scatter beats NumPy's 2-array fancy indexing in the round loop.
     tag1 = tag2d.reshape(-1)
@@ -615,9 +828,21 @@ def l2_burst(
     use1 = use2d.reshape(-1)
     dirty1 = dirty2d.reshape(-1)
 
-    load_hits = store_hits = fills = evictions = writebacks = 0
-    contentions = 0
-    evict_use: List[np.ndarray] = []
+    perm, gids, starts, counts = csr_group(group, time)
+    loc = local[perm]
+    wr = write[perm]
+    if mask is not None:
+        vb2d = planes["vb"]
+        vb1 = vb2d.reshape(-1)
+        # Loads carry their group mask, stores 0 (a store fill clears).
+        ms = mask[perm]
+        ms[wr] = 0
+    else:
+        ms = None
+    hit_s = np.zeros(n_ev, dtype=np.bool_)
+    evict_s = np.full(n_ev, -1, dtype=np.int32)
+    wback_s = np.zeros(n_ev, dtype=np.bool_)
+    flag_s = np.zeros(n_ev, dtype=np.bool_)
     active = _round_plan(counts, tail_threshold)
 
     for r, k in enumerate(active[:-1]):
@@ -626,55 +851,50 @@ def l2_burst(
         idx = starts[:k] + r
         lv = loc[idx]
         w = wr[idx]
-        t = tag2d[rows]
-        eq = t == lv[:, None]
+        eq = tag2d.take(rows, axis=0) == lv[:, None]
         hitm = eq.any(axis=1)
-        way = eq.argmax(axis=1)
         tk = tick[rows] + 1
         tick[rows] = tk
         # Hits: bump use, restamp, dirty on store hits.
-        hflat = base[hitm] + way[hitm]
-        if hflat.size:
+        hi = hitm.nonzero()[0]
+        if hi.size:
+            hidx = idx[hi]
+            hflat = base[hi] + eq.take(hi, axis=0).argmax(axis=1)
             use1[hflat] += 1
-            stamp1[hflat] = tk[hitm]
-            hw = w[hitm]
-            sh = int(np.count_nonzero(hw))
-            store_hits += sh
-            load_hits += hflat.size - sh
-            if sh:
+            stamp1[hflat] = tk[hi]
+            hit_s[hidx] = True
+            hw = w[hi]
+            if np.count_nonzero(hw):
                 dirty1[hflat[hw]] = 1
             if ms is not None:
-                hm = ms[idx[hitm]]
+                hm = ms[hidx]
                 prev = vb1[hflat]
-                contentions += int(np.count_nonzero(prev & hm))
+                flag_s[hidx] = (prev & hm) != 0
                 vb1[hflat] = prev | hm
         # Misses: fill into the cold prefix or the min-stamp victim.
-        mm = ~hitm
-        mrows = rows[mm]
-        if mrows.size:
-            mvc = vc[mrows]
-            cold = mvc < ways
-            wayf = mvc.copy()
+        mi = (~hitm).nonzero()[0]
+        if mi.size:
+            mrows = rows[mi]
+            wayf = vc[mrows]
+            cold = wayf < ways
             ev = ~cold
-            if ev.any():
+            if np.count_nonzero(ev):
                 erows = mrows[ev]
-                vway = stamp2d[erows].argmin(axis=1)
+                vway = stamp2d.take(erows, axis=0).argmin(axis=1)
                 wayf[ev] = vway
                 eflat = erows * ways + vway
-                evictions += erows.size
-                writebacks += int(dirty1[eflat].sum())
-                evict_use.append(use1[eflat].copy())
-            if cold.any():
-                crows = mrows[cold]
-                vc[crows] += 1
-            mflat = base[mm] + wayf
-            tag1[mflat] = lv[mm]
-            dirty1[mflat] = w[mm]
+                eidx = idx[mi[ev]]
+                evict_s[eidx] = use1[eflat]
+                wback_s[eidx] = dirty1[eflat] != 0
+            if np.count_nonzero(cold):
+                vc[mrows[cold]] += 1
+            mflat = base[mi] + wayf
+            tag1[mflat] = lv[mi]
+            dirty1[mflat] = w[mi]
             use1[mflat] = 0
-            stamp1[mflat] = tk[mm]
+            stamp1[mflat] = tk[mi]
             if ms is not None:
-                vb1[mflat] = ms[idx[mm]]
-            fills += mrows.size
+                vb1[mflat] = ms[idx[mi]]
 
     # ------------------------------------------------------------------
     # Scalar tail: the few groups still active after round r finish in
@@ -684,7 +904,11 @@ def l2_burst(
     r = len(active) - 1
     k = active[r]
     if k:
-        tail_use: List[int] = []
+        t_hit: List[int] = []
+        t_flag: List[int] = []
+        t_evict: List[int] = []
+        t_use: List[int] = []
+        t_wback: List[int] = []
         for j in range(k):
             gid = int(gids[j])
             lo = int(starts[j]) + r
@@ -702,39 +926,36 @@ def l2_burst(
                 ms_l = ms[lo:hi].tolist()
             else:
                 vbg = ms_l = None
-            for o, (lvv, ww) in enumerate(zip(loc_l, wr_l)):
+            for o, (lvv, ww) in enumerate(zip(loc_l, wr_l), lo):
                 tkg += 1
                 if lvv in seg:
                     i = seg.index(lvv)
                     us[i] += 1
                     stp[i] = tkg
+                    t_hit.append(o)
                     if ww:
-                        store_hits += 1
                         dt[i] = 1
-                    else:
-                        load_hits += 1
-                        if vbg is not None:
-                            m = ms_l[o]
-                            if vbg[i] & m:
-                                contentions += 1
-                            vbg[i] |= m
+                    elif vbg is not None:
+                        m = ms_l[o - lo]
+                        if vbg[i] & m:
+                            t_flag.append(o)
+                        vbg[i] |= m
                 else:
                     if vcg < ways:
                         i = vcg
                         vcg += 1
                     else:
                         i = stp.index(min(stp))
-                        evictions += 1
+                        t_evict.append(o)
+                        t_use.append(us[i])
                         if dt[i]:
-                            writebacks += 1
-                        tail_use.append(us[i])
+                            t_wback.append(o)
                     seg[i] = lvv
                     dt[i] = 1 if ww else 0
                     us[i] = 0
                     stp[i] = tkg
                     if vbg is not None:
-                        vbg[i] = ms_l[o]
-                    fills += 1
+                        vbg[i] = ms_l[o - lo]
             tag2d[gid] = seg
             stamp2d[gid] = stp
             use2d[gid] = us
@@ -743,29 +964,32 @@ def l2_burst(
             tick[gid] = tkg
             if vbg is not None:
                 vb2d[gid] = vbg
-        evict_use.append(np.array(tail_use, dtype=np.int64))
-    count_into(reuse, evict_use)
+        hit_s[t_hit] = True
+        flag_s[t_flag] = True
+        evict_s[t_evict] = t_use
+        wback_s[t_wback] = True
 
-    # ------------------------------------------------------------------
-    # Write state back to the banks' plain lists.
-    # ------------------------------------------------------------------
-    tagf = tag2d.reshape(P, num_sets * ways)
-    stampf = stamp2d.reshape(P, num_sets * ways)
-    usef = use2d.reshape(P, num_sets * ways)
-    dirtyf = dirty2d.reshape(P, num_sets * ways)
-    vcf = vc.reshape(P, num_sets)
-    tickf = tick.reshape(P, num_sets)
-    vbf = vb2d.reshape(P, num_sets * ways) if mask is not None else None
-    for b, bank in enumerate(banks):
-        if vbf is not None:
-            bank.vb = vbf[b].tolist()
-        bank.tag = tagf[b].tolist()
-        bank.stamp = stampf[b].tolist()
-        bank.use = usef[b].tolist()
-        bank.dirty = bytearray(dirtyf[b].tobytes())
-        bank.valid_count = vcf[b].tolist()
-        bank.tick = int(tickf[b].max())
+    hit[perm] = hit_s
+    evict[perm] = evict_s
+    wback[perm] = wback_s
+    if flag is not None:
+        flag[perm] = flag_s
+    return hit, evict, wback, flag
+
+
+def l2_counters(
+    write: np.ndarray, hit: np.ndarray, evict: np.ndarray,
+    wback: np.ndarray, reuse,
+) -> Tuple[int, int, int, int, int, int, int]:
+    """Counters of :func:`l2_burst` events: ``(loads, stores,
+    load_hits, store_hits, fills, evictions, writebacks)``; the evicted
+    lines' use counts go into the ``reuse`` Counter."""
+    stores = int(np.count_nonzero(write))
+    hits = int(np.count_nonzero(hit))
+    store_hits = int(np.count_nonzero(hit & write))
+    evicted = evict[evict >= 0]
+    count_into(reuse, [evicted])
     return (
-        loads, stores, load_hits, store_hits, fills, evictions, writebacks,
-        contentions,
+        write.size - stores, stores, hits - store_hits, store_hits,
+        write.size - hits, evicted.size, int(np.count_nonzero(wback)),
     )

@@ -14,13 +14,14 @@ cost.  The speed comes from three observations about the oracle:
    dirty bits, victim bits), and it is all **per-(bank, set)**: the
    observable order is per-set order, not global order.
 
-:meth:`FunctionalEngine.run` picks one of three routes.
+:meth:`FunctionalEngine.run` picks one of four routes.
 
 * **Burst** (null management, no tick and no victim bits: bs, bs-s).
   L1 behaviour is then a pure per-(core, set) function of the stream,
-  so every core's L1 replays as one :func:`l1_burst` and the L2 events
-  it emits as one :func:`l2_burst`, both with vectorized victim
-  selection (:mod:`repro.sim.functional.bursts`).
+  so every core's L1 replays as one :func:`l1_burst` (LRU) or one
+  hint-free :func:`gcache_burst` (SRRIP) and the L2 events it emits as
+  one :func:`l2_burst`, all with vectorized victim selection
+  (:mod:`repro.sim.functional.bursts`).
 * **PDP burst** (exactly :class:`StaticPDPPolicy` or
   :class:`DynamicPDPPolicy`, no victim bits: spdp-b, pdp-3, pdp-8).
   PDP's state is per set too (tags, PDCs, fill times, the set's tick
@@ -29,9 +30,17 @@ cost.  The speed comes from three observations about the oracle:
   epoch ends, so the engine plans each core's PD schedule up front and
   settles it as a fixpoint over the store hits (see
   :meth:`FunctionalEngine._run_pdp_burst`).
-* **Walk** (every other design).  Each core's L1 replays in a scalar
-  walk that calls the hooks its policy overrides, with the precomputed
-  ``now`` of each access, and stores ``fill_time`` on every fill.  That
+* **G-Cache burst** (exactly :class:`GCachePolicy` without adaptive
+  aging: gc).  Given each load miss's victim hint, G-Cache's L1 state
+  is per set (:func:`gcache_burst`), and given the L1's L2 events, the
+  hints are per (bank, set) (:func:`l2_burst`'s flags).  Hints settle
+  one window of the transaction clock at a time, as a fixpoint of the
+  two bursts; a window past a round cap splits in half (see
+  :meth:`FunctionalEngine._run_gcache_burst`).
+* **Walk** (every other design: dbp, gc-m).  Each core's L1 replays in
+  a scalar walk that calls the hooks its policy overrides, with the
+  precomputed ``now`` of each access, and stores ``fill_time`` on every
+  fill.  That
   is exact even for policies that act on every access: their state
   lives in the core's own policy object.  A victim-bit hint is the one
   way L2 state reaches back into L1.  A hint is a *second* L2 request
@@ -72,14 +81,24 @@ from repro.cache.policies.base import ManagementPolicy
 from repro.cache.policies.pdp import DynamicPDPPolicy, StaticPDPPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.rrip import SRRIPPolicy
+from repro.core.gcache import GCachePolicy
 from repro.sim.addressing import AddressMap
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
 from repro.sim.functional.bursts import (
     count_into,
+    gcache_burst,
     l1_burst,
     l2_burst,
+    l2_commit,
+    l2_counters,
+    l2_planes,
     pdp_burst,
+)
+from repro.sim.functional.hints import (
+    GCacheRun,
+    commit_srrip_planes,
+    srrip_planes,
 )
 from repro.sim.functional.streams import CoreArrays, build_core_arrays
 from repro.sim.replay import SCHEDULERS, ReplayResult, build_core_streams
@@ -103,7 +122,6 @@ class FunctionalUnsupportedError(NotImplementedError):
 #: round settles the dynamic PD schedule at least up to one more epoch
 #: end, and a run with no epoch end needs one round.
 _SCHEDULE_ROUNDS = 8
-
 
 class _L1State:
     """Structure-of-arrays L1 state (FlatTagStore's flat layout).
@@ -177,8 +195,8 @@ class FunctionalEngine:
 
     With ``profile=True`` the engine accumulates a wall-clock breakdown
     in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L1/L2
-    rounds, including the PDP route's schedule planning and the walk's
-    drain-end burst) and
+    rounds, including the PDP route's schedule planning, the G-Cache
+    route's hint windows and the walk's drain-end burst) and
     ``"scalar_event"`` (everything else: the walk, heap events,
     parked-event flushes and the hint-capable pre-pass) — so the
     remaining scalar residue is measurable.  ``"probe"`` is always 0.0;
@@ -261,6 +279,11 @@ class FunctionalEngine:
             and self._lru
             and not self.design.uses_victim_bits
         )
+        # The G-Cache burst route: G-Cache with a fixed M (adaptive M
+        # couples a core's sets through its fill epochs).
+        self._gcache = (
+            type(policy) is GCachePolicy and not policy.config.adaptive_aging
+        )
         # LRU's per-core stamp tick, one mutable cell per core.
         self._repl_st = [[0] for _ in range(cfg.num_cores)]
         self._tick_left = [self._tick_interval] * cfg.num_cores
@@ -309,6 +332,10 @@ class FunctionalEngine:
         self.l2_writebacks = 0
         self.l2_reuse: Counter = Counter()
         self.contentions_detected = 0
+        #: G-Cache burst: settled hint windows by the rounds each took,
+        #: and the windows split at the round cap.
+        self.window_rounds: Counter = Counter()
+        self.window_splits = 0
         self.instructions = 0
         self.transactions = 0
         self.kernels: List[str] = []
@@ -344,6 +371,8 @@ class FunctionalEngine:
             self._run_decoupled_burst(arrays)
         elif self._pdp:
             self._run_pdp_burst(arrays)
+        elif self._gcache:
+            self._run_gcache_burst(arrays)
         else:
             self._run_missheap(arrays)
         self.transactions += sum(a.n for a in arrays)
@@ -358,44 +387,80 @@ class FunctionalEngine:
 
         With no management hooks, no tick and no victim bits, L1
         behaviour is a pure per-(core, set) function of the stream, so
-        the whole L1 replay runs as one :func:`l1_burst` over every
-        core's concatenated columns, and the events it emits feed
-        :func:`l2_burst` directly.
+        the whole L1 replay runs as one burst over every core's
+        concatenated columns (:func:`l1_burst` under LRU, under SRRIP
+        :func:`gcache_burst` with no hint, so no switch ever turns on),
+        and the events it emits feed :func:`l2_burst` directly.
         """
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
         group, line, write = self._l1_columns(arrays)
-        S1 = self.config.l1_sets
-        (
-            loads,
-            load_hits,
-            stores,
-            store_hits,
-            fills,
-            evictions,
-            ev,
-        ) = l1_burst(
-            self.l1,
-            S1,
-            self._lru,
-            self._max_rrpv,
-            self._insertion_rrpv,
-            self._repl_st,
-            group,
-            line,
-            write,
-            self.l1_reuse,
-        )
-        self.l1_loads += loads
-        self.l1_load_hits += load_hits
-        self.l1_stores += stores
-        self.l1_store_hits += store_hits
-        self.l1_fills += fills
-        self.l1_evictions += evictions
+        if self._lru:
+            (
+                loads,
+                load_hits,
+                stores,
+                store_hits,
+                fills,
+                evictions,
+                ev,
+            ) = l1_burst(
+                self.l1,
+                self.config.l1_sets,
+                self._repl_st,
+                group,
+                line,
+                write,
+                self.l1_reuse,
+            )
+            self.l1_loads += loads
+            self.l1_load_hits += load_hits
+            self.l1_stores += stores
+            self.l1_store_hits += store_hits
+            self.l1_fills += fills
+            self.l1_evictions += evictions
+        else:
+            ev = self._srrip_l1(arrays, group, line, write)
         self._l2_events(arrays, ev, write)
         if prof is not None:
             prof["burst"] += perf_counter() - t0
+
+    def _srrip_l1(self, arrays, group, line, write) -> np.ndarray:
+        """The null-management SRRIP L1 as one hint-free
+        :func:`gcache_burst`; returns the positions of its L2 events."""
+        planes = srrip_planes(self.l1, self.config.l1_sets)
+        ins = self._insertion_rrpv
+        hit, _, evict, _, _ = gcache_burst(
+            planes,
+            group,
+            line,
+            write,
+            np.zeros(write.size, dtype=np.bool_),
+            np.zeros(write.size, dtype=np.int32),
+            np.concatenate([A.now for A in arrays]),
+            (self._max_rrpv, 0, 0, ins, ins, 1),
+        )
+        commit_srrip_planes(planes, self.l1)
+        self._count_l1(write, hit, 0, evict)
+        return np.flatnonzero(write | ~hit)
+
+    def _count_l1(self, write, hit, bypasses: int, evict) -> None:
+        """Add a burst's L1 counters: its accesses' write and hit flags,
+        its bypass count and its evicted lines' use counts (-1 for no
+        eviction).  Every load that neither hit nor bypassed filled."""
+        stores = int(np.count_nonzero(write))
+        store_hits = int(np.count_nonzero(hit & write))
+        load_hits = int(np.count_nonzero(hit)) - store_hits
+        evicted = evict[evict >= 0]
+        self.l1_loads += write.size - stores
+        self.l1_load_hits += load_hits
+        self.l1_stores += stores
+        self.l1_store_hits += store_hits
+        self.l1_bypasses += bypasses
+        self.l1_fills += write.size - stores - load_hits - bypasses
+        self.l1_evictions += evicted.size
+        count_into(self.l1_reuse, [evicted])
 
     def _l1_columns(self, arrays):
         """Every core's ``(group, line, write)`` L1 columns, concatenated,
@@ -447,7 +512,7 @@ class FunctionalEngine:
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-        events = self._pdp_l1(arrays)
+        events = self.pdp_l1(arrays)
         if events is None:
             if prof is not None:
                 prof["burst"] += perf_counter() - t0
@@ -457,11 +522,14 @@ class FunctionalEngine:
         if prof is not None:
             prof["burst"] += perf_counter() - t0
 
-    def _pdp_l1(self, arrays):
+    def pdp_l1(self, arrays):
         """The PDP route's L1 replay, committed once its schedule
         settles.  Returns the concatenated-stream positions of its L2
         events (stores and load misses) and the write column, or
-        ``None`` past the round cap, with nothing changed."""
+        ``None`` past the round cap, with nothing changed.
+
+        PDP takes no L2 hint, so a caller that reads only L1 counters
+        (:func:`~repro.runner.task.sweep_optimal_pd`) runs it alone."""
         group, line, write = self._l1_columns(arrays)
         now = np.concatenate([A.now for A in arrays])
         offsets = np.cumsum([0] + [A.n for A in arrays])
@@ -607,8 +675,48 @@ class FunctionalEngine:
         count_into(self.l1_reuse, [evict_use])
 
     # ------------------------------------------------------------------
-    # Walk route (every managed design): one scalar walk per core;
-    # hint-capable load misses take the heap.
+    # G-Cache burst route (gc): hints settle window by window as a
+    # fixpoint of an L1 burst and an L2 burst.
+    # ------------------------------------------------------------------
+    def _run_gcache_burst(self, arrays) -> None:
+        """G-Cache fast path: no per-access hook.
+
+        Given each load miss's victim hint, G-Cache's L1 is per (core,
+        set) (:func:`gcache_burst`), and given the L1's L2 events, the
+        hints are per (bank, set) (:func:`l2_burst`'s flags).  Hints
+        settle one window of
+        :data:`~repro.sim.functional.hints.HINT_WINDOW` transactions at
+        a time (:class:`~repro.sim.functional.hints.GCacheRun`): guess
+        each load's hint from the window-start L2 state, burst the
+        window's L1 with the current hints, burst its L2 events, take
+        the flags as the new hints, re-run only the (core, set) and
+        (bank, set) groups whose inputs changed (from the window-start
+        state), and repeat until no load miss's hint changes.  That is
+        exact by induction on time: a hint depends only on earlier
+        accesses and its own L2 event, so if the hints are right before
+        time ``t``, every L1 event up to ``t`` and every flag up to
+        ``t`` is right, and each round fixes every hint up to the
+        earliest wrong one.  A window past
+        :data:`~repro.sim.functional.hints.HINT_ROUNDS` rounds is rolled
+        back and split in half; one transaction settles in one round.
+        """
+        prof = self._prof
+        if prof is not None:
+            t0 = perf_counter()
+        total = sum(A.n for A in arrays)
+        if total:
+            for A in arrays:
+                A.ensure_l1()
+                A.ensure_l2()
+            GCacheRun(self, arrays).run(
+                min(int(A.now[0]) for A in arrays if A.n), total
+            )
+        if prof is not None:
+            prof["burst"] += perf_counter() - t0
+
+    # ------------------------------------------------------------------
+    # Walk route (every other managed design: dbp, gc-m): one scalar
+    # walk per core; hint-capable load misses take the heap.
     # ------------------------------------------------------------------
     def _run_missheap(self, arrays) -> None:
         for A in arrays:
@@ -1144,6 +1252,19 @@ class FunctionalEngine:
     def _l2_burst(self, now, part, local, set2, write, mask=None) -> int:
         """Run :func:`l2_burst` on the banks and add up its counters;
         returns its contention count."""
+        S2 = self.config.l2_bank_sets
+        planes = l2_planes(
+            self.l2, S2, None if mask is None else mask.dtype
+        )
+        hit, evict, wback, flag = l2_burst(
+            planes, part * S2 + set2, local, write, mask, now
+        )
+        l2_commit(planes, self.l2)
+        self._count_l2(write, hit, evict, wback)
+        return 0 if flag is None else int(np.count_nonzero(flag))
+
+    def _count_l2(self, write, hit, evict, wback) -> None:
+        """Add :func:`l2_burst` events' counters to the engine's."""
         (
             loads,
             stores,
@@ -1152,18 +1273,7 @@ class FunctionalEngine:
             fills,
             evictions,
             writebacks,
-            contentions,
-        ) = l2_burst(
-            self.l2,
-            self.config.l2_bank_sets,
-            now,
-            part,
-            local,
-            set2,
-            write,
-            self.l2_reuse,
-            mask,
-        )
+        ) = l2_counters(write, hit, evict, wback, self.l2_reuse)
         self.l2_loads += loads
         self.l2_stores += stores
         self.l2_load_hits += load_hits
@@ -1171,7 +1281,6 @@ class FunctionalEngine:
         self.l2_fills += fills
         self.l2_evictions += evictions
         self.l2_writebacks += writebacks
-        return contentions
 
     # ------------------------------------------------------------------
     # Reporting

@@ -51,6 +51,28 @@ class TestEvalSuite:
     def test_speedup_one_for_baseline(self, suite):
         assert suite.speedup("SPMV", "bs") == pytest.approx(1.0)
 
+    def test_traces_released_once_their_tasks_are_done(self, monkeypatch):
+        """A campaign without ``bs`` runs the Fig. 8 baseline one
+        benchmark at a time: the suite holds no trace afterwards.  An
+        spdp-b run builds one trace for its PD sweep and its run."""
+        from repro.experiments import common
+
+        built = []
+
+        def build(name, **kwargs):
+            built.append(name)
+            return build_benchmark(name, **kwargs)
+
+        monkeypatch.setattr(common, "build_benchmark", build)
+        suite = EvalSuite(benchmarks=SUBSET, fidelity="functional", **TINY)
+        suite.run_matrix(["gc"])
+        render_fig8(suite, designs=["gc"])
+        assert suite._traces == {}
+        assert sorted(built) == sorted(SUBSET)
+        suite.run("SD1", "spdp-b")
+        assert suite._traces == {}
+        assert built.count("SD1") == 2
+
     def test_optimal_pd_cached_and_in_sweep(self, suite):
         pd = suite.optimal_pd("SPMV")
         from repro.experiments.common import PD_SWEEP
@@ -70,6 +92,44 @@ class TestSweep:
 
         pd = sweep_optimal_pd(trace, GPUConfig(), candidates=(4, 8))
         assert pd in (4, 8)
+
+
+#: The PD each Table-1 benchmark's sweep picks at seed 0: at scale 0.2,
+#: and at the golden fixture's scale (0.05).
+SWEEP_PDS = {
+    0.2: {
+        "BFS": 8, "KMN": 12, "PVC": 8, "SSC": 68, "SD2": 8, "SPMV": 12,
+        "SYRK": 48, "IIX": 4, "FFT": 4, "CFD": 8, "PVR": 8, "NW": 6,
+        "SD1": 4, "BP": 4, "STL": 4, "WP": 4, "FWT": 4,
+    },
+    0.05: {
+        "BFS": 8, "KMN": 10, "PVC": 6, "SSC": 40, "SD2": 8, "SPMV": 8,
+        "SYRK": 24, "IIX": 4, "FFT": 4, "CFD": 8, "PVR": 10, "NW": 6,
+        "SD1": 4, "BP": 4, "STL": 4, "WP": 4, "FWT": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("scale", sorted(SWEEP_PDS))
+def test_sweep_pins_every_benchmarks_pd(scale):
+    """The sweep reads only L1 miss rates, so its candidates run no L2
+    burst; every Table-1 benchmark keeps its PD."""
+    from unittest import mock
+
+    from repro.sim.functional import FunctionalEngine
+
+    config = GPUConfig()
+    with mock.patch.object(
+        FunctionalEngine, "_l2_burst",
+        side_effect=AssertionError("a PD candidate ran an L2 burst"),
+    ):
+        pds = {
+            name: sweep_optimal_pd(
+                build_benchmark(name, scale=scale, seed=0), config
+            )
+            for name in SWEEP_PDS[scale]
+        }
+    assert pds == SWEEP_PDS[scale]
 
 
 #: Benchmarks on which the functional PD sweep and Fig. 2 are pinned to

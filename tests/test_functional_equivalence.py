@@ -45,6 +45,7 @@ from repro.sim.functional import (
     functional_replay,
 )
 from repro.sim.functional import engine as engine_mod
+from repro.sim.functional import hints as hints_mod
 from repro.sim.replay import SCHEDULERS, build_core_streams, replay
 from repro.trace.suite import build_benchmark
 from repro.trace.trace import CTATrace, KernelTrace, OP_ALU, OP_LOAD, OP_STORE
@@ -68,6 +69,20 @@ def _design(key: str) -> DesignSpec:
         return replace(
             _design("gc-fast-shutdown"), key="gc-tick-only",
             uses_victim_bits=False,
+        )
+    if key == "gc-m2-fixed":
+        # A fixed M of 2: every other bypass of a set ages it.
+        return make_design(
+            "gc", gcache_config=GCacheConfig(initial_m=2, shutdown_interval=64)
+        )
+    if key == "gc-insert":
+        # Off-default thresholds and both insertion RRPVs.
+        return make_design(
+            "gc",
+            gcache_config=GCacheConfig(
+                th_hot=6, th_hot_victim=3, hot_insert_rrpv=1,
+                cold_insert_rrpv=5, shutdown_interval=128,
+            ),
         )
     if key == "gc-m-small-epoch":
         # Tight adaptation epoch: exercises the M-counter state machine.
@@ -118,6 +133,8 @@ def _design(key: str) -> DesignSpec:
 ALL_DESIGNS = tuple(DESIGN_KEYS) + (
     "gc-fast-shutdown",
     "gc-tick-only",
+    "gc-m2-fixed",
+    "gc-insert",
     "gc-m-small-epoch",
     "pdp-small-epoch",
     "pdp-tiny-epoch",
@@ -129,6 +146,11 @@ ALL_DESIGNS = tuple(DESIGN_KEYS) + (
 PDP_DESIGNS = (
     "pdp-3", "pdp-8", "spdp-b", "spdp-quantized", "spdp-no-bypass",
     "pdp-small-epoch", "pdp-tiny-epoch",
+)
+
+#: The designs on the G-Cache burst route: G-Cache with a fixed M.
+GCACHE_BURST_DESIGNS = (
+    "gc", "gc-fast-shutdown", "gc-tick-only", "gc-m2-fixed", "gc-insert",
 )
 
 #: One design per policy family, for the expensive sweeps.
@@ -254,11 +276,11 @@ def test_hint_free_managed_designs_burst_l2(
     assert engine.phase_seconds["scalar_event"] == 0
 
 
-@pytest.mark.parametrize("key", ("dbp", "gc"))
+@pytest.mark.parametrize("key", ("dbp", "gc-m"))
 def test_profile_splits_burst_and_scalar_only(key, config):
-    """Both walk routes are one scalar loop per core: ``probe`` stays in
-    the phase split (profilers index it by name) and always reads 0.
-    SSC has long hit runs on both routes."""
+    """The walk's designs run one scalar loop per core: ``probe`` stays
+    in the phase split (profilers index it by name) and always reads 0.
+    SSC has long hit runs on both."""
     engine = FunctionalEngine(config, _design(key), profile=True)
     engine.run(build_benchmark("SSC", scale=0.1, seed=0))
     assert set(engine.phase_seconds) == {"burst", "probe", "scalar_event"}
@@ -267,9 +289,8 @@ def test_profile_splits_burst_and_scalar_only(key, config):
 
 
 def test_hint_free_gc_bursts_its_l2(config):
-    """FFT raises no victim hint, so every G-Cache load miss is its
-    core's first load of the line: all of them fill inline and their L2
-    loads replay in the drain-end burst."""
+    """FFT raises no victim hint, so every G-Cache hint window settles
+    on its first burst round."""
     trace = build_benchmark("FFT", scale=0.15, seed=0)
     engine = FunctionalEngine(config, _design("gc"), profile=True)
     engine.run(trace)
@@ -628,13 +649,16 @@ def burst_adversarial_kernels(draw):
 #: The designs that exercise each replay route: the L1 + L2 bursts
 #: (bs, bs-s); the PDP burst, static (spdp-b, with quantized decrements
 #: and without bypass) and dynamic (pdp-3, pdp-8), with PD recomputes
-#: at epoch boundaries (pdp-tiny-epoch); and the walk.  On the walk:
-#: fill hooks only (dbp); hint-capable misses on the heap beside parked
-#: stores and first-load misses (gc, gc-m); and periodic ticks between
-#: inline first-load fills (gc-fast-shutdown).
+#: at epoch boundaries (pdp-tiny-epoch); the G-Cache burst's hint
+#: windows (gc), with switch shutdowns inside them (gc-fast-shutdown),
+#: a fixed M of 2 (gc-m2-fixed) and off-default thresholds and
+#: insertions (gc-insert); and the walk.  On the walk: fill hooks only
+#: (dbp), and hint-capable misses on the heap beside parked stores and
+#: first-load misses (gc-m).
 BURST_PATH_DESIGNS = (
     "bs", "bs-s", "dbp", "pdp-3", "pdp-8", "spdp-b", "spdp-quantized",
     "spdp-no-bypass", "pdp-tiny-epoch", "gc", "gc-m", "gc-fast-shutdown",
+    "gc-m2-fixed", "gc-insert",
 )
 
 #: The miss heap's seed walks at their edges: core 1's stream is stores
@@ -679,6 +703,216 @@ def test_burst_adversarial_share_factor_match_oracle(key, share, trace):
 @given(trace=burst_adversarial_kernels(), scheduler=st.sampled_from(SCHEDULERS))
 def test_burst_adversarial_schedulers_match_oracle(trace, scheduler):
     assert_equivalent(trace, ADV_CONFIG, _design("bs"), scheduler=scheduler)
+
+
+# ---------------------------------------------------------------------------
+# The G-Cache burst's hint windows
+#
+# A victim hint is the one way L2 state reaches an L1.  The G-Cache
+# burst settles hints one window of the transaction clock at a time, as
+# a fixpoint of an L1 and an L2 burst, re-running only the groups whose
+# inputs changed; a window past the round cap is split in half.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hint_feedback_storms(draw):
+    """Repeat-miss lines from several cores that share one L2 set.
+
+    Each CTA (one per core) loops over its own draw from lines that all
+    land in one L2 (bank, set), and in two L1 sets, so its loops
+    overflow an L1 set and re-miss.  A re-miss is the core's second L2
+    request for the line: a hint, which turns the L1 set's switch on,
+    which bypasses the fill, which misses again.  The other cores' lines
+    evict the shared L2 set's lines in between, so hints come and go.
+    """
+    ctas = []
+    for _ in range(draw(st.integers(2, 4))):
+        lines = draw(st.lists(
+            st.sampled_from(_L2_CONFLICT_POOL), min_size=3, max_size=10,
+            unique=True,
+        ))
+        prog = []
+        for _ in range(draw(st.integers(2, 6))):
+            for line in lines:
+                prog.append(_mem_op([line], draw(st.integers(0, 3)) == 0))
+        ctas.append(CTATrace(warps=[prog]))
+    return KernelTrace(name="HINT-STORM", ctas=ctas)
+
+
+#: Core 0 loads two lines, then only hits them, long after core 1's one
+#: load: its last windows hold one core and no L2 event.  Cores 2 and 3
+#: get no CTA (empty streams).
+LONE_HIT_TAIL = KernelTrace(
+    name="LONE-HIT-TAIL",
+    ctas=[
+        CTATrace(warps=[[_mem_op([line % 2], False) for line in range(24)]]),
+        CTATrace(warps=[[_mem_op([_NUM_SETS], False)]]),
+    ],
+)
+
+
+@pytest.mark.parametrize("key", ("gc", "gc-fast-shutdown", "gc-m2-fixed"))
+@settings(max_examples=15, deadline=None)
+@given(trace=hint_feedback_storms())
+def test_hint_feedback_storms_match_oracle(key, trace):
+    assert_equivalent(trace, ADV_CONFIG, _design(key))
+    assert_equivalent(trace, ADV_CONFIG, _design(key), victim_share_factor=2)
+
+
+@pytest.mark.parametrize("key", [k for k in BURST_PATH_DESIGNS
+                                 if k in GCACHE_BURST_DESIGNS])
+@settings(max_examples=8, deadline=None)
+@given(trace=burst_adversarial_kernels() | hint_feedback_storms())
+def test_gcache_designs_never_walk(key, trace):
+    """Every G-Cache design with a fixed M settles on bursts alone."""
+    engine = FunctionalEngine(ADV_CONFIG, _design(key), profile=True)
+    with mock.patch.object(
+        FunctionalEngine, "_drain_missheap",
+        side_effect=AssertionError("the G-Cache burst entered the walk"),
+    ):
+        engine.run(trace)
+    assert engine.phase_seconds["scalar_event"] == 0
+    assert sum(engine.window_rounds.values()) >= 1
+
+
+@pytest.mark.parametrize("window", (1, 2, 3, 7))
+@settings(max_examples=10, deadline=None)
+@given(trace=hint_feedback_storms() | burst_adversarial_kernels())
+@example(trace=LONE_HIT_TAIL)
+@example(trace=SEED_WALK_EDGES)
+def test_hint_window_edges_match_oracle(window, trace):
+    """Tiny windows: some hold one core, some no L2 event, and some
+    start or end inside another's hint chain."""
+    with mock.patch.object(hints_mod, "HINT_WINDOW", window):
+        assert_equivalent(trace, ADV_CONFIG, _design("gc"))
+        assert_equivalent(trace, ADV_CONFIG, _design("gc-fast-shutdown"))
+
+
+def test_window_without_l2_events_in_a_scenario(config):
+    """A generated scenario (seed 5) with windows holding no L2 event."""
+    from repro.scenarios import build_scenario
+    from repro.scenarios.sweep import generate_space
+
+    spec = next(
+        s for s in generate_space() if s["name"] == "ws64-cta-st0-l8-k1"
+    )
+    trace = build_scenario(spec, scale=0.15, seed=5)
+    assert_equivalent(trace, config, _design("gc"))
+
+
+#: A chain inside one window (one core, lines A-E of L1 set 0): E
+#: evicts A, hits make every line hot, and A's re-miss carries a hint
+#: that no window-start guess sees (A's first load is in the window).
+#: With the hint A bypasses, so A's next load misses too, and its own
+#: hint takes a third round.
+_A, _B, _C, _D, _E = (i * _NUM_SETS for i in range(5))
+HINT_CHAIN = KernelTrace(
+    name="HINT-CHAIN",
+    ctas=[CTATrace(warps=[[
+        _mem_op([line], False)
+        for line in (_A, _B, _C, _D, _A, _B, _C, _D, _E, _B, _C, _D, _E,
+                     _A, _A)
+    ]])],
+)
+
+
+#: Cores 0 and 1 (one victim-bit group at share factor 2) load the same
+#: lines in lockstep: each line's second load, one transaction after
+#: its first, carries a hint that the window-start L2 state does not.
+SHARED_FIRST_LOADS = KernelTrace(
+    name="SHARED-FIRST-LOADS",
+    ctas=[
+        CTATrace(warps=[[_mem_op([line], False) for line in range(8)]])
+        for _ in range(2)
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "cap, trace, share",
+    [(2, HINT_CHAIN, 1), (1, SHARED_FIRST_LOADS, 2)],
+    ids=["chain-cap-2", "shared-cap-1"],
+)
+def test_round_cap_splits_windows_exactly(cap, trace, share):
+    """Windows past the round cap are rolled back and halved until they
+    settle, with the oracle's counters.  The first transaction's hint
+    guess reads the very L2 state it meets, so a one-transaction window
+    settles in one round: at a cap of 1, windows split down to single
+    transactions."""
+    engine = FunctionalEngine(ADV_CONFIG, _design("gc"), share)
+    engine.run(trace)
+    assert max(engine.window_rounds) == cap + 1
+    settled = []
+    window = hints_mod.GCacheRun.window
+
+    def counted(run, lo, hi):
+        if window(run, lo, hi):
+            settled.append(hi - lo)
+            return True
+        return False
+
+    with mock.patch.object(hints_mod, "HINT_ROUNDS", cap), \
+            mock.patch.object(hints_mod.GCacheRun, "window", counted):
+        engine = FunctionalEngine(ADV_CONFIG, _design("gc"), share)
+        engine.run(trace)
+        assert_equivalent(
+            trace, ADV_CONFIG, _design("gc"), victim_share_factor=share
+        )
+    assert engine.window_splits > 0
+    assert max(engine.window_rounds) <= cap
+    if cap == 1:
+        assert min(settled) == 1
+
+
+def _gcache_state(policy):
+    """Every piece of G-Cache policy state a later access can read, and
+    its diagnostics."""
+    switches = policy.switches
+    return dict(
+        bits=bytes(switches.bits),
+        activations=switches.activations,
+        shutdowns=switches.shutdowns,
+        hint_fills=policy.hint_fills,
+        agings=policy.agings,
+        bypass_counters=list(policy._bypass_counters),
+    )
+
+
+@pytest.mark.parametrize("share", (1, 2))
+@pytest.mark.parametrize("key", ("gc", "gc-fast-shutdown", "gc-m2-fixed"))
+def test_gcache_burst_leaves_the_walks_state(key, share, config):
+    """On a warm two-kernel sequence the G-Cache burst leaves every L1
+    plane, policy, shutdown countdown and L2 line as the walk does."""
+    traces = [
+        build_benchmark("SPMV", scale=0.03, seed=7),
+        build_benchmark("KMN", scale=0.05, seed=3),
+    ]
+
+    def replay_all(burst):
+        engine = FunctionalEngine(config, _design(key), share)
+        engine._gcache = burst
+        for trace in traces:
+            engine.run(trace)
+        return engine
+
+    burst = replay_all(True)
+    walk = replay_all(False)
+    assert burst.window_rounds and not walk.window_rounds
+    assert burst._tick_left == walk._tick_left
+    for a, b in zip(burst.l1, walk.l1):
+        for plane in ("tag", "rrpv", "use_count", "fill_time", "valid_count"):
+            assert getattr(a, plane) == getattr(b, plane), plane
+    for a, b in zip(burst.mgmt, walk.mgmt):
+        assert _gcache_state(a) == _gcache_state(b)
+    for a, b in zip(burst.l2, walk.l2):
+        for plane in ("tag", "vb", "use"):
+            assert getattr(a, plane) == getattr(b, plane), plane
+        assert bytes(a.dirty) == bytes(b.dirty)
+    fast, slow = burst.result(), walk.result()
+    assert fast.l1.snapshot() == slow.l1.snapshot()
+    assert fast.l2.snapshot() == slow.l2.snapshot()
+    assert fast.extras == slow.extras
 
 
 # ---------------------------------------------------------------------------
