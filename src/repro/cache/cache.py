@@ -137,6 +137,10 @@ class Cache:
         # defines no on_hit/on_miss and the lookup pays no call for it.
         self._tick_interval = max(0, self.mgmt.tick_interval)
         self._tick_left = self._tick_interval
+        #: What the last fill_fast() evicted: its tag (-1 if nothing) and
+        #: whether it was written back.
+        self.last_evicted_tag = -1
+        self.last_writeback = False
 
         # Management hooks that are base-class no-ops are skipped on the
         # hot path entirely (bound method, or None when default).
@@ -154,13 +158,6 @@ class Cache:
         self._mgmt_on_insert = _hook("on_insert")
         self._mgmt_on_bypass = _hook("on_bypass")
         self._mgmt_on_evict = _hook("on_evict")
-        # Whether the policy reads the fill's victim hint: callers only
-        # build a FillContext to carry it when this is set (or when the
-        # event bus is attached).
-        self._mgmt_needs_ctx = (
-            self._mgmt_fill_decision is not None
-            or self._mgmt_on_insert is not None
-        )
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -288,52 +285,59 @@ class Cache:
         line_addr: int,
         now: int,
         ctx: Optional[FillContext] = None,
-        known_absent: bool = False,
         is_write: bool = False,
     ) -> FillResult:
         """Bring ``line_addr`` into the cache, subject to the management policy.
 
         Returns a :class:`FillResult` describing whether the line was
         inserted, bypassed, or found already present (e.g. filled by a
-        concurrent request that was merged in the MSHRs).
+        concurrent request that was merged in the MSHRs).  A thin wrapper
+        over :meth:`fill_fast`, the way :meth:`lookup` wraps
+        :meth:`lookup_fast`.
 
-        ``known_absent=True`` skips the presence re-scan.  The memory
-        system may assert it because each transaction's lookup-miss and
-        fill execute back to back with nothing else touching that cache
-        in between (in-flight duplicates are merged in the MSHRs before
-        the lookup ever runs).
-
-        ``is_write`` is consulted only when ``ctx`` is omitted (an
-        explicit context carries its own ``is_write``); it lets callers
-        that have no victim hint to pass skip building a context.
+        ``is_write`` is consulted only when ``ctx`` is omitted (an explicit
+        context carries its own ``is_write``); it lets callers that have no
+        victim hint to pass skip building a context.
         """
         if ctx is not None:
             is_write = ctx.is_write
             hint = ctx.victim_hint
         else:
             hint = False
-        store = self.store
         set_index = (line_addr >> self.pre_shift) & self._set_mask
         base = set_index * self.ways
-        top = base + self.ways
+        idx = self._find_slot(line_addr, base, base + self.ways)
+        if idx >= 0:
+            return FillResult(set_index, already_present=True, way=idx - base)
+        idx = self.fill_fast(line_addr, now, hint, is_write)
+        if idx < 0:
+            return FillResult(set_index, bypassed=True)
+        return FillResult(
+            set_index,
+            inserted=True,
+            way=idx - base,
+            evicted_tag=self.last_evicted_tag,
+            writeback=self.last_writeback,
+        )
 
-        if not known_absent:
-            # Inlined _find_slot (see lookup).
-            tags = store.tag
-            valid = store.valid
-            idx = -1
-            start = base
-            while True:
-                try:
-                    i = tags.index(line_addr, start, top)
-                except ValueError:
-                    break
-                if valid[i]:
-                    idx = i
-                    break
-                start = i + 1
-            if idx >= 0:
-                return FillResult(set_index, already_present=True, way=idx - base)
+    def fill_fast(
+        self, line_addr: int, now: int, hint: bool = False, is_write: bool = False
+    ) -> int:
+        """Fill an absent line; returns its flat slot, or -1 on a bypass.
+
+        The one copy of the fill logic: identical statistics and policy
+        effects to :meth:`fill`, but nothing is allocated.  The evicted
+        line's tag (-1 if none) and whether it was written back are left
+        in :attr:`last_evicted_tag` and :attr:`last_writeback`.
+
+        The caller guarantees ``line_addr`` is not resident, so there is
+        no presence scan.  The memory system may assert it because each
+        transaction's lookup-miss and fill execute back to back with
+        nothing else touching that cache in between (in-flight duplicates
+        are merged in the MSHRs before the lookup ever runs).
+        """
+        store = self.store
+        set_index = (line_addr >> self.pre_shift) & self._set_mask
 
         fill_decision = self._mgmt_fill_decision
         if fill_decision is not None and fill_decision(
@@ -348,10 +352,14 @@ class Cache:
                     EV_BYPASS, now, self.name,
                     line=line_addr, set=set_index, hint=hint,
                 )
-            return FillResult(set_index, bypassed=True)
+            self.last_evicted_tag = -1
+            self.last_writeback = False
+            return -1
 
         # Prefer an invalid way; otherwise ask the management policy, then
         # the replacement policy, for a victim.
+        base = set_index * self.ways
+        top = base + self.ways
         evicted_tag = -1
         writeback = False
         if store.valid_count[set_index] < self.ways:
@@ -384,6 +392,8 @@ class Cache:
                     line=evicted_tag, set=set_index, way=way,
                     uses=store.use_count[idx], dirty=bool(store.dirty[idx]),
                 )
+        self.last_evicted_tag = evicted_tag
+        self.last_writeback = writeback
 
         store.fill_slot(idx, line_addr, now)
         if is_write and self.write_allocate:
@@ -399,13 +409,7 @@ class Cache:
                 line=line_addr, set=set_index, way=way,
                 hint=hint, evicted=evicted_tag,
             )
-        return FillResult(
-            set_index,
-            inserted=True,
-            way=way,
-            evicted_tag=evicted_tag,
-            writeback=writeback,
-        )
+        return idx
 
     def invalidate(self, line_addr: int, now: int = 0) -> bool:
         """Drop ``line_addr`` if present; returns whether it was resident."""

@@ -87,9 +87,12 @@ class MSHRFile:
     def merge(self, entry: MSHREntry) -> bool:
         """Attach a request to an existing entry.
 
-        Returns ``False`` when the entry's merge capacity is exhausted, in
-        which case the requester must stall and retry (modelled upstream
-        as a delay to the entry's ready time).
+        Returns ``False`` when the entry's merge capacity is exhausted,
+        leaving the entry and :attr:`total_merges` unchanged.  The cap is
+        not enforced: :meth:`MemorySystem.load
+        <repro.sim.memory_system.MemorySystem.load>` ignores the return
+        value, so a request past the cap still completes with the fill
+        (and still counts in the L1's ``mshr_merges``).
         """
         if entry.merges + 1 >= self.max_merges:
             return False

@@ -34,6 +34,10 @@ __all__ = ["SIMTCore"]
 #: Core is idle with nothing scheduled.
 IDLE = None
 
+#: Issue-time sentinel for a warp that cannot issue until something else
+#: happens (finished, or parked at a barrier): later than any real time.
+PARKED = 1 << 62
+
 
 class SIMTCore:
     """One SIMT core and its resident CTAs."""
@@ -60,6 +64,10 @@ class SIMTCore:
         self._lrr = self.scheduler if type(self.scheduler) is LRRScheduler else None
 
         self.warps: List[Warp] = []
+        #: Readiness view aligned with ``warps``: each live warp's ready
+        #: time, or PARKED for a done or barrier-parked warp.  Only this
+        #: class changes warp state, and every change also writes here.
+        self._ready: List[int] = []
         self._cta_remaining: Dict[int, int] = {}
         self._cta_waiting: Dict[int, int] = {}
         self._cta_scratchpad: Dict[int, int] = {}
@@ -108,6 +116,7 @@ class SIMTCore:
             self._age_counter += 1
             warp.ready_time = now + 1
             self.warps.append(warp)
+            self._ready.append(PARKED if warp.done else now + 1)
             self.scheduler.on_warp_added(warp)
             if not warp.done:
                 live += 1
@@ -129,6 +138,9 @@ class SIMTCore:
         del self._cta_waiting[slot]
         # Prune retired warps so scheduler scans stay short.
         self.warps = [w for w in self.warps if not w.done]
+        self._ready = [
+            PARKED if w.at_barrier else w.ready_time for w in self.warps
+        ]
         self.completed_cta = True
         if self.obs is not None:
             self.obs.emit(EV_CTA_DONE, now, f"core[{self.core_id}]", slot=slot)
@@ -147,10 +159,11 @@ class SIMTCore:
 
     def _maybe_release_barrier(self, slot: int, now: int) -> None:
         if self._cta_waiting.get(slot, 0) >= self._alive_in_cta(slot) > 0:
-            for w in self.warps:
+            ready = self._ready
+            for i, w in enumerate(self.warps):
                 if w.cta_slot == slot and w.at_barrier:
                     w.at_barrier = False
-                    w.ready_time = now + 1
+                    w.ready_time = ready[i] = now + 1
             self._cta_waiting[slot] = 0
 
     # ------------------------------------------------------------------
@@ -163,33 +176,36 @@ class SIMTCore:
         it is drained (no live warps).
         """
         self.completed_cta = False
+        ready = self._ready
         lrr = self._lrr
         if lrr is not None:
-            # Inlined LRRScheduler.pick (identical scan order).
-            warps = self.warps
-            warp = None
-            n = len(warps)
+            # Inlined LRRScheduler.pick over the readiness view: the same
+            # cyclic scan from lrr._next, one int compare per warp.
+            idx = -1
+            n = len(ready)
             if n:
                 start = lrr._next % n
-                for off in range(n):
-                    idx = start + off
-                    if idx >= n:
-                        idx -= n
-                    w = warps[idx]
-                    if not w.done and not w.at_barrier and w.ready_time <= now:
-                        lrr._next = (idx + 1) % n
-                        warp = w
+                for i in range(start, n):
+                    if ready[i] <= now:
+                        idx = i
                         break
+                else:
+                    for i in range(start):
+                        if ready[i] <= now:
+                            idx = i
+                            break
+            if idx >= 0:
+                lrr._next = (idx + 1) % n
+                warp = self.warps[idx]
+            else:
+                warp = None
         else:
             warp = self.scheduler.pick(self.warps, now)
+            if warp is not None:
+                idx = self.warps.index(warp)
         if warp is None:
-            nxt = -1
-            for w in self.warps:
-                if not w.done and not w.at_barrier:
-                    rt = w.ready_time
-                    if nxt < 0 or rt < nxt:
-                        nxt = rt
-            if nxt >= 0:
+            nxt = min(ready, default=PARKED)
+            if nxt != PARKED:
                 # Guard against scheduler anomalies: never stall in place.
                 return nxt if nxt > now else now + 1
             return IDLE
@@ -211,9 +227,13 @@ class SIMTCore:
             next_issue = now + count
         elif op == OP_LOAD:
             # Inlined coalesce (lane counts are validated when traces are
-            # built): dict.fromkeys is an order-preserving C-speed dedup.
+            # built): dict.fromkeys is an order-preserving C-speed dedup,
+            # skipped for the common single-address instruction.
             shift = self._coal_shift
-            lines = list(dict.fromkeys(a >> shift for a in arg))
+            if len(arg) == 1:
+                lines = (arg[0] >> shift,)
+            else:
+                lines = list(dict.fromkeys(a >> shift for a in arg))
             co = self.coalescer
             co.warp_accesses += 1
             co.transactions += len(lines)
@@ -229,7 +249,10 @@ class SIMTCore:
             self.instructions += 1
         elif op == OP_STORE:
             shift = self._coal_shift
-            lines = list(dict.fromkeys(a >> shift for a in arg))
+            if len(arg) == 1:
+                lines = (arg[0] >> shift,)
+            else:
+                lines = list(dict.fromkeys(a >> shift for a in arg))
             co = self.coalescer
             co.warp_accesses += 1
             co.transactions += len(lines)
@@ -244,7 +267,10 @@ class SIMTCore:
             self.instructions += 1
         elif op == OP_ATOM:
             shift = self._coal_shift
-            lines = list(dict.fromkeys(a >> shift for a in arg))
+            if len(arg) == 1:
+                lines = (arg[0] >> shift,)
+            else:
+                lines = list(dict.fromkeys(a >> shift for a in arg))
             co = self.coalescer
             co.warp_accesses += 1
             co.transactions += len(lines)
@@ -267,16 +293,22 @@ class SIMTCore:
         warp.pc += 1
         if warp.pc >= len(warp.program):
             warp.done = True
+            ready[idx] = PARKED
             if warp.ready_time > self.finish_time:
                 self.finish_time = warp.ready_time
             slot = warp.cta_slot
             self._cta_remaining[slot] -= 1
             if self._cta_remaining[slot] == 0:
                 self._complete_cta(slot, now)
+                ready = self._ready
             else:
                 # A finished warp can be the last arrival its siblings
                 # were waiting on.
                 self._maybe_release_barrier(slot, now)
+        else:
+            # A barrier arrival parks the warp unless it released the
+            # barrier itself (then its ready time is now + 1).
+            ready[idx] = PARKED if warp.at_barrier else warp.ready_time
 
         if now > self.finish_time:
             self.finish_time = now
@@ -289,15 +321,13 @@ class SIMTCore:
         # nothing can become ready earlier in between.  The scan bails as
         # soon as one warp is ready by next_issue (the exact minimum is
         # irrelevant below the port-free time).
-        mn = -1
-        for w in self.warps:
-            if not w.done and not w.at_barrier:
-                rt = w.ready_time
-                if rt <= next_issue:
-                    return next_issue
-                if mn < 0 or rt < mn:
-                    mn = rt
-        if mn < 0:
+        mn = PARKED
+        for rt in ready:
+            if rt <= next_issue:
+                return next_issue
+            if rt < mn:
+                mn = rt
+        if mn == PARKED:
             # Every remaining warp is done (or parked forever, which the
             # barrier-release invariant excludes): nothing left to issue.
             return IDLE

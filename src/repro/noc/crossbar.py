@@ -6,9 +6,9 @@ SIMT cores and the memory partitions; the paper's Table 2 specifies a
 be ablated: a crossbar has uniform latency and per-*port* rather than
 per-*link* contention.
 
-The interface mirrors :class:`~repro.noc.mesh.MeshNoC` (send_request /
-send_data_request / send_response plus accounting), so the memory system
-can take either.
+The interface mirrors :class:`~repro.noc.mesh.MeshNoC` (node-addressed
+``send``, the send_request / send_data_request / send_response flavours,
+plus accounting), so the memory system can take either.
 """
 
 from __future__ import annotations
@@ -60,7 +60,23 @@ class CrossbarNoC:
         self.packets_sent = 0
         self.total_hops = 0  # kept for interface parity (1 "hop" each)
 
-    def _send(self, free: List[int], port: int, start: int, flits: int) -> int:
+    def send(
+        self, src_node: int, dst_node: int, start: int, flits: int,
+        kind: str = "packet",
+    ) -> int:
+        """Route one packet; returns its arrival time at ``dst_node``.
+
+        Nodes are numbered as in :class:`~repro.noc.mesh.MeshNoC` (cores
+        0..C-1, partitions C..C+P-1), and the packet contends for its
+        destination's output port.  ``kind`` is accepted for interface
+        parity; crossbar events name the port instead.
+        """
+        if src_node < self.num_cores:
+            free = self._to_partition_free
+            port = dst_node - self.num_cores
+        else:
+            free = self._to_core_free
+            port = dst_node
         self.packets_sent += 1
         self.total_hops += 1
         busy = free[port]
@@ -79,15 +95,21 @@ class CrossbarNoC:
 
     def send_request(self, core_id: int, partition_id: int, start: int) -> int:
         self._validate(core_id, partition_id)
-        return self._send(self._to_partition_free, partition_id, start, self.ctrl_flits)
+        return self.send(
+            core_id, self.num_cores + partition_id, start, self.ctrl_flits
+        )
 
     def send_data_request(self, core_id: int, partition_id: int, start: int) -> int:
         self._validate(core_id, partition_id)
-        return self._send(self._to_partition_free, partition_id, start, self.data_flits)
+        return self.send(
+            core_id, self.num_cores + partition_id, start, self.data_flits
+        )
 
     def send_response(self, partition_id: int, core_id: int, start: int) -> int:
         self._validate(core_id, partition_id)
-        return self._send(self._to_core_free, core_id, start, self.data_flits)
+        return self.send(
+            self.num_cores + partition_id, core_id, start, self.data_flits
+        )
 
     def _validate(self, core_id: int, partition_id: int) -> None:
         if not 0 <= core_id < self.num_cores:

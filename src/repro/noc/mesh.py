@@ -113,11 +113,17 @@ class MeshNoC:
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
-    def send(self, src_node: int, dst_node: int, start: int, flits: int) -> int:
+    def send(
+        self, src_node: int, dst_node: int, start: int, flits: int,
+        kind: str = "packet",
+    ) -> int:
         """Route one packet; returns its arrival time at ``dst_node``.
 
         Each link on the path is reserved for ``flits`` cycles; the packet
-        waits for busy links (head-of-line contention).
+        waits for busy links (head-of-line contention).  ``kind`` only
+        labels the packet's trace events.  The memory system calls this
+        directly, once per packet, with node ids it already bounds (cores
+        are nodes 0..C-1, partitions C..C+P-1).
         """
         if src_node == dst_node:
             return start
@@ -125,21 +131,15 @@ class MeshNoC:
         link_free = self._link_free
         hop_latency = self.hop_latency
         pidx = src_node * self.num_nodes + dst_node
-        path = self._paths[pidx]
         t = start
-        for link in path:
+        for link in self._paths[pidx]:
             free = link_free[link]
             depart = t if t >= free else free
             link_free[link] = depart + flits
             t = depart + hop_latency
         self.total_hops += self._path_lens[pidx]
         # The tail flit trails the head by the serialization length.
-        return t + flits - 1
-
-    def _traced_send(
-        self, src_node: int, dst_node: int, start: int, flits: int, kind: str
-    ) -> int:
-        arrive = self.send(src_node, dst_node, start, flits)
+        arrive = t + flits - 1
         if self.obs is not None:
             self.obs.emit(
                 EV_NOC_ENQUEUE, start, "noc",
@@ -152,34 +152,29 @@ class MeshNoC:
             )
         return arrive
 
-    # The three public send flavours inline the node arithmetic (cores
-    # are nodes 0..C-1, partitions C..C+P-1) and skip the tracing wrapper
-    # when no event bus is attached — they run once per packet, and the
-    # ids come from the memory system, which already bounds them
-    # (core_node/partition_node remain the validated API).
+    # The three send flavours name the packet kinds of the validated
+    # public API (core_node/partition_node bound the ids).
 
     def send_request(self, core_id: int, partition_id: int, start: int) -> int:
         """Core -> L2 bank control packet (read request / write header)."""
-        dst = self.num_cores + partition_id
-        if self.obs is not None:
-            return self._traced_send(core_id, dst, start, self.ctrl_flits, "request")
-        return self.send(core_id, dst, start, self.ctrl_flits)
+        return self.send(
+            self.core_node(core_id), self.partition_node(partition_id),
+            start, self.ctrl_flits, "request",
+        )
 
     def send_data_request(self, core_id: int, partition_id: int, start: int) -> int:
         """Core -> L2 bank packet carrying write data."""
-        dst = self.num_cores + partition_id
-        if self.obs is not None:
-            return self._traced_send(
-                core_id, dst, start, self.data_flits, "data_request"
-            )
-        return self.send(core_id, dst, start, self.data_flits)
+        return self.send(
+            self.core_node(core_id), self.partition_node(partition_id),
+            start, self.data_flits, "data_request",
+        )
 
     def send_response(self, partition_id: int, core_id: int, start: int) -> int:
         """L2 bank -> core data response (carries the victim-bit hint)."""
-        src = self.num_cores + partition_id
-        if self.obs is not None:
-            return self._traced_send(src, core_id, start, self.data_flits, "response")
-        return self.send(src, core_id, start, self.data_flits)
+        return self.send(
+            self.partition_node(partition_id), self.core_node(core_id),
+            start, self.data_flits, "response",
+        )
 
     @property
     def average_hops(self) -> float:

@@ -22,7 +22,6 @@ from typing import List, Optional
 
 from repro.cache.cache import Cache
 from repro.cache.mshr import MSHREntry, MSHRFile
-from repro.cache.policies.base import FillContext
 from repro.cache.replacement.lru import LRUPolicy
 from repro.core.victim_bits import VictimBitDirectory
 from repro.dram.controller import MemoryController
@@ -138,7 +137,16 @@ class MemorySystem:
         self._per_core = list(zip(self.l1s, self.mshrs))
         self._l1_hit_latency = config.l1_hit_latency
         self._partition = self.addr_map.partition
-        self._local = self.addr_map.local
+        # AddressMap.local, inlined into _l2_access.
+        self._local_shift = self.addr_map._chunk_shift
+        self._local_hi_shift = self._local_shift + self.addr_map._part_bits
+        self._local_mask = self.addr_map._offset_mask
+        # One route-walk call per packet: NoC node ids are core ids for
+        # cores and num_cores + partition for memory partitions.
+        self._send = self.noc.send
+        self._num_cores = config.num_cores
+        self._ctrl_flits = self.noc.ctrl_flits
+        self._data_flits = self.noc.data_flits
         self._l2_hit_latency = config.l2_hit_latency
         self._l2_port_occupancy = config.l2_port_occupancy
         self._l2_write_validate = config.l2_write_validate
@@ -165,29 +173,27 @@ class MemorySystem:
         line_addr: int,
         arrive: int,
         is_write: bool,
+        part: int,
         full_line_write: bool = True,
-        part: Optional[int] = None,
     ):
-        """Access the L2 bank; returns ``(data_time, victim_hint)``.
+        """Access the L2 bank ``part``; returns ``(data_time, victim_hint)``.
 
         ``data_time`` is when the L2 bank has the data (for reads) or has
         accepted the write.  Misses are filled from DRAM, charging the
         memory controller and any dirty-eviction writeback.
         ``full_line_write`` marks stores that cover the whole line and may
         therefore write-validate (skip the allocate fetch); atomics are
-        read-modify-write and must not.  Callers that already computed the
-        partition pass it via ``part`` to skip the address-map hash.
+        read-modify-write and must not.
         """
-        if part is None:
-            part = self.partition_of(line_addr)
-        local = self._local(line_addr)
+        local = ((line_addr >> self._local_hi_shift) << self._local_shift) | (
+            line_addr & self._local_mask
+        )
         ports = self._l2_port_free
         at = ports[part]
         if arrive > at:
             at = arrive
         ports[part] = at + self._l2_port_occupancy
         bank = self.l2_banks[part]
-        mc = self.mcs[part]
 
         idx = bank.lookup_fast(local, at, is_write=is_write)
         if idx >= 0:
@@ -195,30 +201,27 @@ class MemorySystem:
         else:
             # Miss: fetch the line from DRAM and write-allocate.  A store
             # that covers the full line skips the fetch (write-validate).
+            mc = self.mcs[part]
             if is_write and full_line_write and self._l2_write_validate:
                 dram_done = at + self._l2_hit_latency
             else:
                 dram_done = mc.request(local, at + self._l2_hit_latency)
-            # No ctx: the L2 has no management policy, so fill() only
-            # builds one if the event bus needs it.
-            fill = bank.fill(
-                local, dram_done, known_absent=True, is_write=is_write
-            )
-            if fill.writeback:
-                mc.request(fill.evicted_tag, dram_done, is_write=True)
+            # The L2 has no management policy and never bypasses, so the
+            # fill always returns a slot.
+            idx = bank.fill_fast(local, dram_done, False, is_write)
+            if bank.last_writeback:
+                mc.request(bank.last_evicted_tag, dram_done, is_write=True)
             if (
                 self.obs is not None
                 and self.victim_dir is not None
-                and fill.evicted_tag != -1
+                and bank.last_evicted_tag != -1
             ):
                 # The evicted L2 line's victim bits die with it (Fig. 6).
                 self.obs.emit(
                     EV_VICTIM_CLEAR, dram_done, f"L2[{part}]",
-                    line=fill.evicted_tag, set=fill.set_index,
+                    line=bank.last_evicted_tag, set=idx // bank.ways,
                 )
             data_time = dram_done
-            # The L2 never bypasses, so the fill always names a way.
-            idx = fill.set_index * bank.ways + fill.way
 
         hint = False
         if self.victim_dir is not None and not is_write:
@@ -248,9 +251,12 @@ class MemorySystem:
         if heap and heap[0][0] <= port:
             mshr.expire(port)
 
-        entry = mshr._pending.get(line_addr)
+        pending = mshr._pending
+        entry = pending.get(line_addr)
         if entry is not None:
             # The line is already in flight: merge, complete with the fill.
+            # The merge cap is not enforced: past it, merge() returns False
+            # and the request still completes with the fill.
             l1.stats.loads += 1
             l1.stats.mshr_merges += 1
             mshr.merge(entry)
@@ -269,7 +275,7 @@ class MemorySystem:
 
         # Miss: wait for a free MSHR, then walk the lower hierarchy.
         t = port + 1
-        if mshr.full:
+        if len(pending) >= mshr.capacity:  # inlined MSHRFile.full
             mshr.note_full_stall()
             stall_until = max(t, mshr.earliest_free())
             if self.obs is not None:
@@ -281,28 +287,17 @@ class MemorySystem:
             mshr.expire(t)
 
         part = self._partition(line_addr)
-        arrive = self.noc.send_request(core_id, part, t)
-        data_time, hint = self._l2_access(
-            core_id, line_addr, arrive, is_write=False, part=part
-        )
-        resp = self.noc.send_response(part, core_id, data_time)
+        node = self._num_cores + part
+        arrive = self._send(core_id, node, t, self._ctrl_flits, "request")
+        data_time, hint = self._l2_access(core_id, line_addr, arrive, False, part)
+        resp = self._send(node, core_id, data_time, self._data_flits, "response")
 
-        if l1._mgmt_needs_ctx or l1.obs is not None:
-            fill = l1.fill(
-                line_addr,
-                resp,
-                FillContext(line_addr=line_addr, victim_hint=hint, src_id=core_id),
-                known_absent=True,
-            )
-        else:
-            fill = l1.fill(line_addr, resp, known_absent=True)
+        bypassed = l1.fill_fast(line_addr, resp, hint) < 0
         # Inlined MSHRFile.allocate: the stall logic above guarantees a
         # free entry, and the pending-dict probe at the top of this method
         # rules out duplicates, so the guard raises cannot trigger here.
-        entry = MSHREntry(line_addr, resp, fill.bypassed)
-        pending = mshr._pending
-        pending[line_addr] = entry
-        heappush(mshr._ready_heap, (resp, line_addr))
+        pending[line_addr] = MSHREntry(line_addr, resp, bypassed)
+        heappush(heap, (resp, line_addr))
         mshr.total_allocations += 1
         occ = len(pending)
         if occ > mshr.peak_occupancy:
@@ -310,7 +305,7 @@ class MemorySystem:
         if self.obs is not None:
             self.obs.emit(
                 EV_MSHR_ALLOC, t, f"MSHR[{core_id}]",
-                line=line_addr, ready=resp, bypassed=fill.bypassed,
+                line=line_addr, ready=resp, bypassed=bypassed,
             )
         self.load_latency_sum += resp - now
         self.load_count += 1
@@ -322,18 +317,21 @@ class MemorySystem:
         Returns the time the write is accepted by the L2 — callers may
         ignore it; it exists so tests can observe write timing.
         """
-        port = max(now, self._l1_port_free[core_id])
-        self._l1_port_free[core_id] = port + 1
+        ports = self._l1_port_free
+        port = ports[core_id]
+        if now > port:
+            port = now
+        ports[core_id] = port + 1
 
         # Write-through, write-no-allocate L1: update on hit, never fill.
         self.l1s[core_id].lookup_fast(line_addr, port, is_write=True)
 
-        part = self.partition_of(line_addr)
-        arrive = self.noc.send_data_request(core_id, part, port + 1)
-        data_time, _ = self._l2_access(
-            core_id, line_addr, arrive, is_write=True, part=part
+        part = self._partition(line_addr)
+        arrive = self._send(
+            core_id, self._num_cores + part, port + 1, self._data_flits,
+            "data_request",
         )
-        return data_time
+        return self._l2_access(core_id, line_addr, arrive, True, part)[0]
 
     def atomic(self, core_id: int, line_addr: int, now: int) -> int:
         """One read-modify-write at the partition's Atomic Operation Unit.
@@ -343,13 +341,16 @@ class MemorySystem:
         """
         port = max(now, self._l1_port_free[core_id])
         self._l1_port_free[core_id] = port + 1
-        part = self.partition_of(line_addr)
+        part = self._partition(line_addr)
 
-        arrive = self.noc.send_data_request(core_id, part, port + 1)
+        arrive = self._send(
+            core_id, self._num_cores + part, port + 1, self._data_flits,
+            "data_request",
+        )
         at = max(arrive, self._aou_free[part])
         self._aou_free[part] = at + self.config.aou_occupancy
         data_time, _ = self._l2_access(
-            core_id, line_addr, at, is_write=True, full_line_write=False, part=part
+            core_id, line_addr, at, True, part, full_line_write=False
         )
         return data_time
 

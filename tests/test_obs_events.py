@@ -15,8 +15,9 @@ from repro.obs.events import (
 )
 from repro.sim.designs import make_design
 from repro.sim.simulator import GPU
+from repro.trace.trace import OP_ATOM
 
-from conftest import alu, ld, make_kernel
+from conftest import addr, alu, bar, ld, make_kernel, st
 
 
 class TestEvent:
@@ -72,19 +73,60 @@ class TestDisabledMode:
         assert all(mc.obs is None for mc in gpu.memory.mcs)
         assert all(core.obs is None for core in gpu.cores)
 
-    def test_untraced_run_matches_traced_run(self, tiny_config):
-        """Tracing must be observation-only: identical results either way."""
-        kernel = make_kernel(
+    @pytest.mark.parametrize("design", ["bs", "gc", "pdp-8", "dbp"])
+    @pytest.mark.parametrize("kernel", ["loads", "mixed"])
+    def test_untraced_run_matches_traced_run(self, tiny_config, kernel, design):
+        """Tracing must be observation-only: identical results either way.
+
+        ``mixed`` adds single- and multi-line loads, stores, atomics and
+        barriers over enough lines to evict dirty L2 lines, so every NoC
+        packet kind and both fill sites (L1 and L2) run traced.
+        """
+        trace = _parity_kernel(kernel)
+        plain = GPU(tiny_config, make_design(design)).run(trace)
+        obs = Observability.in_memory()
+        traced = GPU(tiny_config, make_design(design), obs=obs).run(trace)
+        assert _observed(traced) == _observed(plain)
+        assert obs.bus.events_emitted > 0
+        if kernel == "mixed":
+            assert plain.l2.writebacks > 0
+
+
+def _parity_kernel(kind: str):
+    if kind == "loads":
+        return make_kernel(
             [[op for i in range(8) for op in (ld(i * 4), alu(2))]] * 2, ctas=4
         )
-        plain = GPU(tiny_config, make_design("gc")).run(kernel)
-        obs = Observability.in_memory()
-        traced = GPU(tiny_config, make_design("gc"), obs=obs).run(kernel)
-        assert traced.cycles == plain.cycles
-        assert traced.instructions == plain.instructions
-        assert traced.l1.hits == plain.l1.hits
-        assert traced.l1.bypasses == plain.l1.bypasses
-        assert obs.bus.events_emitted > 0
+    programs = []
+    for w in range(2):
+        program = []
+        for i in range(40):
+            line = w * 4096 + i * 67
+            program += [
+                ld(line), st(line + 2048), alu(1),
+                ld(line, line + 1, line + 2),
+                ld((i % 8) * 4 + w),  # 8 lines thrashing one 4-way set
+                (OP_ATOM, (addr(line % 64),)),
+            ]
+            if i % 4 == 3:
+                program.append(bar())
+        programs.append(program)
+    return make_kernel(programs, ctas=4)
+
+
+def _observed(result):
+    """Everything a run reports, reuse histograms included."""
+    return {
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "l1": result.l1.snapshot(),
+        "l2": result.l2.snapshot(),
+        "l1_reuse": dict(result.l1.reuse._counts),
+        "l2_reuse": dict(result.l2.reuse._counts),
+        "dram_requests": result.dram_requests,
+        "avg_load_latency": result.avg_load_latency,
+        "extras": result.extras,
+    }
 
 
 class TestWire:
