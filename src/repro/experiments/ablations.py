@@ -87,7 +87,7 @@ def shutdown_interval_ablation(
     scale: float = 1.0,
     seed: int = 0,
 ) -> Dict[str, Dict[int, RunResult]]:
-    """Sweep of the periodic bypass-switch shutdown interval (0 = never)."""
+    """The periodic bypass-switch shutdown interval, swept (0 = never)."""
     if config is None:
         config = GPUConfig()
     out: Dict[str, Dict[int, RunResult]] = {}

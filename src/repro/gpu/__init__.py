@@ -4,7 +4,6 @@ from repro.gpu.coalescer import Coalescer
 from repro.gpu.schedulers import (
     GTOScheduler,
     LRRScheduler,
-    TwoLevelScheduler,
     WarpScheduler,
     make_scheduler,
 )
@@ -16,6 +15,5 @@ __all__ = [
     "WarpScheduler",
     "LRRScheduler",
     "GTOScheduler",
-    "TwoLevelScheduler",
     "make_scheduler",
 ]

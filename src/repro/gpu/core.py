@@ -47,10 +47,6 @@ class SIMTCore:
         self.config = config
         self.memory = memory
         self.scheduler = make_scheduler(config.warp_scheduler)
-        if hasattr(self.scheduler, "bind_stats"):
-            # Feedback-driven schedulers (CCWS-style throttling) observe
-            # this core's L1 statistics.
-            self.scheduler.bind_stats(memory.l1s[core_id].stats)
         self.coalescer = Coalescer(config.line_size, config.simt_width)
         # Issue-loop constants, hoisted out of the per-step dispatch.
         self._alu_latency = config.alu_latency
@@ -117,7 +113,6 @@ class SIMTCore:
             warp.ready_time = now + 1
             self.warps.append(warp)
             self._ready.append(PARKED if warp.done else now + 1)
-            self.scheduler.on_warp_added(warp)
             if not warp.done:
                 live += 1
         self._cta_remaining[slot] = live
@@ -332,15 +327,14 @@ class SIMTCore:
             # barrier-release invariant excludes): nothing left to issue.
             return IDLE
         # Fusing skips exactly one engine round: the wake at next_issue
-        # whose pick() would have found nothing ready.  Stateful
-        # schedulers (GTO's greedy slot, two-level's active set, the
-        # throttle monitor) mutate their state even on that empty pick —
-        # GTO in particular drops its greedy warp when it stalls — so
-        # replay the call they would have seen.  Warp state cannot change
-        # between now and next_issue (ready times only move inside this
-        # core's own step, and mid-kernel CTA launches only target cores
-        # whose slot just freed), so the replayed pick is exact: it
-        # returns None here by the same scan that chose `mn` above.
+        # whose pick() would have found nothing ready.  GTO, the one
+        # stateful scheduler, changes its state even on that empty pick
+        # (it drops its greedy warp when that warp stalls), so replay the
+        # call it would have seen.  Warp state cannot change between now
+        # and next_issue (ready times only move inside this core's own
+        # step, and mid-kernel CTA launches only target cores whose slot
+        # just freed), so the replayed pick is exact: it returns None
+        # here by the same scan that chose `mn` above.
         if lrr is None:
             self.scheduler.pick(self.warps, next_issue)
         return mn

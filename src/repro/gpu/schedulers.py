@@ -1,9 +1,9 @@
 """Warp schedulers (paper Section 2.2).
 
 The baseline configuration uses loose round-robin (LRR, Table 2).
-Greedy-then-oldest (GTO) and two-level scheduling are provided for the
-scheduler-interaction ablation: the paper argues G-Cache is orthogonal to
-cache-aware scheduling and "can also cooperate with the scheduler".
+Greedy-then-oldest (GTO) is provided for the scheduler-interaction
+ablation: the paper argues G-Cache is orthogonal to cache-aware
+scheduling and "can also cooperate with the scheduler".
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "WarpScheduler",
     "LRRScheduler",
     "GTOScheduler",
-    "TwoLevelScheduler",
     "make_scheduler",
 ]
 
@@ -30,9 +29,6 @@ class WarpScheduler(ABC):
     @abstractmethod
     def pick(self, warps: List[Warp], now: int) -> Optional[Warp]:
         """Return a ready warp, or ``None`` if nothing can issue."""
-
-    def on_warp_added(self, warp: Warp) -> None:
-        """Notification that a new warp joined the pool."""
 
 
 class LRRScheduler(WarpScheduler):
@@ -98,62 +94,14 @@ class GTOScheduler(WarpScheduler):
         return oldest
 
 
-class TwoLevelScheduler(WarpScheduler):
-    """Two-level scheduling [Narasiman et al., MICRO-44 '11].
-
-    Only a small *active* subset of warps is eligible; a warp that stalls
-    on memory is swapped out for a pending one.  This throttles the number
-    of warps sharing the L1 at any instant.
-    """
-
-    name = "two-level"
-
-    def __init__(self, active_size: int = 8) -> None:
-        if active_size < 1:
-            raise ValueError(f"active set must hold >= 1 warp, got {active_size}")
-        self.active_size = active_size
-        self._active: List[Warp] = []
-        self._rr = LRRScheduler()
-
-    def _refresh(self, warps: List[Warp], now: int) -> None:
-        # Drop finished warps and those stalled on long-latency events.
-        self._active = [w for w in self._active if not w.done]
-        stalled = [w for w in self._active if not w.ready(now)]
-        if len(self._active) - len(stalled) > 0 and len(self._active) >= self.active_size:
-            return
-        active_ids = {id(w) for w in self._active}
-        for warp in warps:
-            if len(self._active) >= self.active_size:
-                break
-            if warp.done or id(warp) in active_ids:
-                continue
-            if warp.ready(now):
-                self._active.append(warp)
-                active_ids.add(id(warp))
-
-    def pick(self, warps: List[Warp], now: int) -> Optional[Warp]:
-        self._refresh(warps, now)
-        choice = self._rr.pick(self._active, now)
-        if choice is None:
-            # Fall back to the full pool so forward progress never depends
-            # on the active-set heuristic.
-            choice = self._rr.pick(warps, now)
-        return choice
-
-
-def make_scheduler(name: str, **kwargs) -> WarpScheduler:
+def make_scheduler(name: str) -> WarpScheduler:
     """Build a warp scheduler by name."""
-    # Imported lazily: the throttle scheduler depends on this module.
-    from repro.gpu.throttle import ThrottleScheduler
+    # Imported lazily: importing repro.sim imports this module.
     from repro.sim.config import WARP_SCHEDULERS
 
     if name not in WARP_SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {name!r}; known: {list(WARP_SCHEDULERS)}"
         )
-    registry = {
-        cls.name: cls
-        for cls in (LRRScheduler, GTOScheduler, TwoLevelScheduler,
-                    ThrottleScheduler)
-    }
-    return registry[name](**kwargs)
+    registry = {cls.name: cls for cls in (LRRScheduler, GTOScheduler)}
+    return registry[name]()

@@ -60,7 +60,7 @@ from repro.runner.engine import (
     run_campaign,
 )
 from repro.runner.journal import CampaignJournal, JournalLockedError
-from repro.runner.task import PD_SWEEP, Task, run_task, sweep_optimal_pd, trace_digest
+from repro.runner.task import PD_SWEEP, Task, run_task, sweep_optimal_pd
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -82,5 +82,4 @@ __all__ = [
     "run_task",
     "stable_hash",
     "sweep_optimal_pd",
-    "trace_digest",
 ]

@@ -3,12 +3,11 @@
 Every campaign task (one ``simulate`` call or one SPDP-B PD sweep) is
 identified by a *stable key*: the SHA-256 of a canonical JSON rendering
 of everything that determines its outcome — benchmark name, trace seed
-and scale (or a digest of the trace contents for ad-hoc traces), the
-design key and its parameters, every :class:`GPUConfig` field, and a
-code-version salt derived from ``repro.__version__``.  The
-key is therefore stable across process restarts and machines, and any
-change to an input produces a different key (i.e. an automatic
-invalidation).
+and scale (or a scenario spec's digest), the design key and its
+parameters, every :class:`GPUConfig` field, and a code-version salt
+derived from ``repro.__version__``.  The key is therefore stable
+across process restarts and machines, and any change to an input
+produces a different key (i.e. an automatic invalidation).
 
 Entries are stored one-file-per-result under a two-character shard
 directory, each file carrying a magic header and a SHA-256 checksum of

@@ -1,11 +1,11 @@
 """Campaign work units: self-contained, picklable task descriptions.
 
 A :class:`Task` captures everything a worker process needs to recompute
-one result from scratch — benchmark name + trace parameters (or an
-explicit trace), design key + parameters, and the full
-:class:`GPUConfig` — so the campaign engine can ship it across a
-``ProcessPoolExecutor`` boundary and key its persistent cache entry by
-content (:meth:`Task.fingerprint`).
+one result from scratch — benchmark name (or scenario spec) + trace
+parameters, design key + parameters, and the full :class:`GPUConfig` —
+so the campaign engine can ship it across a ``ProcessPoolExecutor``
+boundary and key its persistent cache entry by content
+(:meth:`Task.fingerprint`).
 
 Tasks whose fingerprints differ only in the design form a *trace group*.
 The engine hands every task of a group one :class:`SharedInputs`, so
@@ -27,17 +27,12 @@ Task kinds:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
-from repro.sim.functional.engine import (
-    FunctionalEngine,
-    build_run_arrays,
-    stream_scheduler,
-)
+from repro.sim.functional.engine import FunctionalEngine, build_run_arrays
 from repro.sim.simulator import FIDELITIES, simulate
 from repro.trace.trace import KernelTrace
 
@@ -50,7 +45,6 @@ __all__ = [
     "run_task",
     "run_task_armed",
     "sweep_optimal_pd",
-    "trace_digest",
 ]
 
 #: Candidate protecting distances for the SPDP-B offline sweep
@@ -105,21 +99,6 @@ def sweep_optimal_pd(
     return best_pd
 
 
-def trace_digest(trace: KernelTrace) -> str:
-    """Content digest of a kernel trace, for keying ad-hoc traces.
-
-    Hashes the name, scratchpad footprint and the full instruction
-    stream incrementally (``repr`` of plain ints/tuples is stable across
-    processes and Python versions, unlike ``hash()``).
-    """
-    h = hashlib.sha256()
-    h.update(repr((trace.name, trace.scratchpad_per_cta)).encode())
-    for cta in trace.ctas:
-        for warp in cta.warps:
-            h.update(repr(warp).encode())
-    return h.hexdigest()
-
-
 class SharedInputs:
     """Design-independent inputs of one trace group, built on first use.
 
@@ -145,7 +124,7 @@ class SharedInputs:
         if self.arrays is None:
             # Exactly the cold-engine arrays simulate() would build.
             self.arrays = build_run_arrays(
-                self.trace_for(task), task.config, stream_scheduler(task.config)
+                self.trace_for(task), task.config, task.config.warp_scheduler
             )
         return self.arrays
 
@@ -166,18 +145,14 @@ class Task:
         config: Full architectural configuration (hashed field-by-field
             into the cache key, so any change invalidates).
         victim_share_factor: ``S_v`` for victim-bit sharing runs.
-        pd_candidates: Sweep candidates for ``pd-sweep`` tasks.
+        pd_candidates: Candidate PDs for ``pd-sweep`` tasks.
         fidelity: ``"timing"`` (cycle-accurate, the default) or
             ``"functional"`` (fast vectorized replay with estimated
             cycles) for ``simulate`` tasks.  Part of the cache key, so
             the two fidelities never alias each other's results.
-        trace: Optional pre-built trace.  With ``key_by_trace=False``
-            this is only an execution shortcut (the cache key still uses
-            benchmark/scale/seed); with ``key_by_trace=True`` the key
-            uses a content digest of the trace instead — required for
-            traces that did not come from the benchmark registry.
-        trace_key: Precomputed :func:`trace_digest` (avoids rehashing a
-            shared trace for every grid point).
+        trace: Optional pre-built trace of the task's benchmark or
+            scenario.  Only an execution shortcut: the cache key still
+            uses benchmark (or scenario)/scale/seed.
         scenario: Declarative scenario spec document (a plain dict — it
             must cross the pickle boundary), built in the worker via
             :func:`repro.scenarios.build_scenario` with this task's
@@ -201,8 +176,6 @@ class Task:
     victim_share_factor: int = 1
     pd_candidates: Tuple[int, ...] = PD_SWEEP
     trace: Optional[KernelTrace] = None
-    key_by_trace: bool = False
-    trace_key: Optional[str] = None
     fidelity: str = "timing"
     scenario: Optional[Dict[str, Any]] = None
     shared: Optional[SharedInputs] = field(default=None, repr=False, compare=False)
@@ -219,14 +192,13 @@ class Task:
                 f"fidelity={self.fidelity!r} only applies to simulate tasks, "
                 f"not {self.kind!r}"
             )
-        if self.benchmark is None and self.trace is None and self.scenario is None:
+        if self.benchmark is None and self.scenario is None:
             raise ValueError(
-                "task needs a benchmark name, a scenario spec or an explicit trace"
+                "task needs a benchmark name or a scenario spec "
+                "(a trace is only an execution shortcut)"
             )
         if self.benchmark is not None and self.scenario is not None:
             raise ValueError("benchmark and scenario are mutually exclusive")
-        if self.key_by_trace and self.trace is None and self.trace_key is None:
-            raise ValueError("key_by_trace requires a trace or a trace_key")
         if self.kind == "simulate" and self.design == "spdp-b" and self.pd is None:
             raise ValueError("spdp-b simulate tasks need pd=...")
 
@@ -235,12 +207,10 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def workload(self) -> Optional[str]:
-        """Benchmark name, else the scenario's name, else the trace's."""
+        """Benchmark name, else the scenario's name."""
         if self.benchmark is not None:
             return self.benchmark
-        if self.scenario is not None:
-            return self.scenario.get("name")
-        return self.trace.name if self.trace is not None else None
+        return self.scenario.get("name")
 
     @property
     def label(self) -> str:
@@ -281,10 +251,7 @@ class Task:
             "kind": self.kind,
             "config": config_fingerprint(self.config),
         }
-        if self.key_by_trace:
-            key = self.trace_key or trace_digest(self.trace)
-            fp["trace"] = key
-        elif self.scenario is not None:
+        if self.scenario is not None:
             from repro.scenarios import spec_digest
 
             # Content-addressed: the digest covers the canonical spec

@@ -4,7 +4,6 @@ from repro.sim.config import GPUConfig
 from repro.sim.designs import DESIGN_KEYS, DesignSpec, make_design
 from repro.sim.replay import ReplayResult, build_core_streams, replay
 from repro.sim.simulator import GPU, RunResult, simulate, simulate_sequence
-from repro.sim.sweep import Sweep, SweepPoint
 from repro.sim.validation import ValidationReport, validate_run
 
 __all__ = [
@@ -19,8 +18,6 @@ __all__ = [
     "replay",
     "ReplayResult",
     "build_core_streams",
-    "Sweep",
-    "SweepPoint",
     "ValidationReport",
     "validate_run",
 ]

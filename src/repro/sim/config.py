@@ -17,8 +17,10 @@ from repro.dram.timing import GDDR5Timing
 
 __all__ = ["GPUConfig", "WARP_SCHEDULERS"]
 
-#: Warp scheduler names :func:`repro.gpu.schedulers.make_scheduler` builds.
-WARP_SCHEDULERS = ("lrr", "gto", "two-level", "throttle")
+#: Warp scheduler names: the timing engine's schedulers
+#: (:func:`repro.gpu.schedulers.make_scheduler`) and the functional
+#: backend's stream interleaves (:func:`repro.sim.replay.build_core_streams`).
+WARP_SCHEDULERS = ("lrr", "gto")
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ from repro.sim.functional.hints import (
     srrip_planes,
 )
 from repro.sim.functional.streams import CoreArrays, build_core_arrays
-from repro.sim.replay import SCHEDULERS, ReplayResult, build_core_streams
+from repro.sim.replay import ReplayResult, build_core_streams
 from repro.stats.counters import CacheStats
 from repro.trace.trace import KernelTrace
 
@@ -110,7 +110,6 @@ __all__ = [
     "FunctionalUnsupportedError",
     "build_run_arrays",
     "functional_replay",
-    "stream_scheduler",
 ]
 
 
@@ -1337,13 +1336,6 @@ class FunctionalEngine:
             l2=l2_stats,
             extras=extras,
         )
-
-
-def stream_scheduler(config: GPUConfig) -> str:
-    """The stream interleave a functional run under ``config`` replays:
-    the config's warp scheduler where the stream builder models it, else
-    ``"lrr"``."""
-    return config.warp_scheduler if config.warp_scheduler in SCHEDULERS else "lrr"
 
 
 def build_run_arrays(

@@ -27,40 +27,28 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.core.victim_bits import VictimBitDirectory
 from repro.gpu.coalescer import Coalescer
 from repro.sim.addressing import AddressMap
-from repro.sim.config import GPUConfig
+from repro.sim.config import WARP_SCHEDULERS, GPUConfig
 from repro.sim.designs import DesignSpec
 from repro.stats.counters import CacheStats
-from repro.trace.trace import KernelTrace, OP_ATOM, OP_LOAD, OP_STORE
+from repro.trace.trace import KernelTrace, OP_LOAD, OP_STORE
 
 __all__ = ["build_core_streams", "replay", "ReplayResult", "SCHEDULERS"]
 
 #: One transaction: (line address, is_write).
 Transaction = Tuple[int, bool]
 
-#: Warp interleavings understood by :func:`build_core_streams`.
-SCHEDULERS = ("lrr", "gto", "two-level")
-
-#: Active-warp window for the two-level interleave (fetch group size).
-_TWO_LEVEL_WINDOW = 8
-
-
-def _emit(op: int, arg, coalescer: Coalescer, stream: List[Transaction]) -> None:
-    # ALU / SMEM / BAR / ATOM produce no L1 traffic.
-    if op == OP_LOAD:
-        for line in coalescer.coalesce(arg):
-            stream.append((line, False))
-    elif op == OP_STORE:
-        for line in coalescer.coalesce(arg):
-            stream.append((line, True))
+#: Warp interleavings understood by :func:`build_core_streams`: one per
+#: warp scheduler of the timing engine.
+SCHEDULERS = WARP_SCHEDULERS
 
 
 def _interleave_wave(warps, scheduler, coalescer, stream) -> None:
     """Append one wave's transactions in the chosen warp interleave."""
-    coalesce = coalescer.coalesce
     append = stream.append
     if scheduler == "gto":
         # Greedy-then-oldest analogue: run each warp to completion,
         # oldest (lowest-numbered) first.
+        coalesce = coalescer.coalesce
         for warp in warps:
             for op, arg in warp:
                 if op == OP_LOAD:
@@ -69,32 +57,6 @@ def _interleave_wave(warps, scheduler, coalescer, stream) -> None:
                 elif op == OP_STORE:
                     for line in coalesce(arg):
                         append((line, True))
-        return
-    if scheduler == "two-level":
-        # Round-robin inside a small active window; a finished warp's
-        # slot is backfilled by the next pending warp in arrival order.
-        active = list(range(min(_TWO_LEVEL_WINDOW, len(warps))))
-        next_warp = len(active)
-        pcs = [0] * len(warps)
-        while active:
-            i = 0
-            while i < len(active):
-                w = active[i]
-                warp = warps[w]
-                pc = pcs[w]
-                if pc < len(warp):
-                    op, arg = warp[pc]
-                    pcs[w] = pc + 1
-                    _emit(op, arg, coalescer, stream)
-                if pcs[w] >= len(warp):
-                    if next_warp < len(warps):
-                        active[i] = next_warp
-                        next_warp += 1
-                        i += 1
-                    else:
-                        active.pop(i)
-                else:
-                    i += 1
         return
     # "lrr": round-robin one instruction per live warp per pass.  Pass k
     # is row k of the warps zipped together; a finished warp pads its
@@ -144,9 +106,8 @@ def build_core_streams(
     are excluded: they bypass the L1 entirely.
 
     Schedulers: ``"lrr"`` (loose round-robin, one instruction per warp
-    per pass — the historical default), ``"gto"`` (greedy-then-oldest:
-    each warp runs to completion in order) and ``"two-level"``
-    (round-robin within an 8-warp active window).
+    per pass — the historical default) and ``"gto"`` (greedy-then-oldest:
+    each warp runs to completion in order).
     """
     if config is None:
         config = GPUConfig()

@@ -348,13 +348,12 @@ def _run_functional(
 
     ``arrays`` are prebuilt inputs for a single trace (cold engine)."""
     from repro.sim.functional import FunctionalEngine, TimingEstimator
-    from repro.sim.functional.engine import stream_scheduler
 
     engine = FunctionalEngine(
         config,
         design,
         victim_share_factor=victim_share_factor,
-        scheduler=stream_scheduler(config),
+        scheduler=config.warp_scheduler,
     )
     for trace in traces:
         engine.run(trace, arrays=arrays)
@@ -479,9 +478,9 @@ def simulate(
             Functional runs reject ``timeline``/``obs``.
         arrays: Prebuilt inputs of a functional run of ``trace`` under
             ``config``: :func:`repro.sim.functional.engine.build_run_arrays`
-            with that config's ``stream_scheduler``.  Functional
-            fidelity only; the replay only reads them, so one build can
-            serve every design.
+            with that config's ``warp_scheduler``.  Functional fidelity
+            only; the replay only reads them, so one build can serve
+            every design.
     """
     if config is None:
         config = GPUConfig()

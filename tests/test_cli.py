@@ -39,6 +39,13 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--benchmark", "SD1", "--design", "magic"])
 
+    @pytest.mark.parametrize("scheduler", ["two-level", "throttle"])
+    def test_rejects_unknown_scheduler(self, scheduler, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--benchmark", "SD1", "--scheduler", scheduler])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_table(self, capsys):

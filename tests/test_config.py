@@ -84,8 +84,9 @@ class TestValidation:
             GPUConfig(**geometry)
 
     def test_unknown_warp_scheduler(self):
-        with pytest.raises(ValueError, match="unknown warp scheduler"):
-            GPUConfig(warp_scheduler="bogus")
+        for name in ("bogus", "two-level", "throttle"):
+            with pytest.raises(ValueError, match="unknown warp scheduler"):
+                GPUConfig(warp_scheduler=name)
         with pytest.raises(ValueError, match="unknown warp scheduler"):
             GPUConfig().with_scheduler("ccws")
 

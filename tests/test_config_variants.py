@@ -53,7 +53,7 @@ class TestVariantMatrix:
 
 
 class TestSchedulerMatrix:
-    @pytest.mark.parametrize("sched", ["lrr", "gto", "two-level", "throttle"])
+    @pytest.mark.parametrize("sched", ["lrr", "gto"])
     def test_every_scheduler_completes(self, tiny_config, sched):
         config = tiny_config.with_scheduler(sched)
         kernel = workload()

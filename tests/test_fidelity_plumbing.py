@@ -8,7 +8,7 @@ select it *and* keep its results segregated from timing results:
   manifest label and the worker dispatch,
 * the campaign engine records fidelity per task in timings, journal and
   manifest,
-* :class:`EvalSuite`, :class:`Sweep` and the CLI expose the knob.
+* :class:`EvalSuite` and the CLI expose the knob.
 
 A timing result served from the cache for a functional request (or vice
 versa) would silently mix estimated and measured cycles — the cache-key
@@ -27,9 +27,8 @@ from repro.runner.task import run_task
 from repro.sim.config import GPUConfig
 from repro.sim.designs import make_design
 from repro.sim.replay import replay
-from repro.sim.functional.engine import build_run_arrays, stream_scheduler
+from repro.sim.functional.engine import build_run_arrays
 from repro.sim.simulator import FIDELITIES, simulate, simulate_sequence
-from repro.sim.sweep import Sweep
 from repro.experiments.common import EvalSuite
 from repro.stats.timeline import Timeline
 from repro.trace.suite import build_benchmark
@@ -108,7 +107,7 @@ def _outcome(result):
 
 
 def functional_arrays(trace, config):
-    return build_run_arrays(trace, config, stream_scheduler(config))
+    return build_run_arrays(trace, config, config.warp_scheduler)
 
 
 class TestPrebuiltArrays:
@@ -226,14 +225,6 @@ class TestSuiteAndSweep:
         assert r.extras["fidelity"] == "functional"
         label = suite.engine.manifest()["tasks"][0]["label"]
         assert label.startswith("simulate[functional]:")
-
-    def test_sweep_forwards_fidelity(self, trace):
-        points = (
-            Sweep(trace, fidelity="functional").designs("bs", "gc").run()
-        )
-        assert all(
-            p.result.extras["fidelity"] == "functional" for p in points
-        )
 
 
 class TestCLI:

@@ -26,7 +26,6 @@ from repro.runner import (
     Task,
     default_salt,
     stable_hash,
-    trace_digest,
 )
 from repro.sim.config import GPUConfig
 
@@ -137,19 +136,16 @@ class TestKeyInvalidation:
         sweep = Task(kind="pd-sweep", benchmark="SPMV", design="bs")
         assert sim.key(self.SALT) != sweep.key(self.SALT)
 
-    def test_trace_content_keying(self, tiny_config):
+    def test_trace_alone_is_no_identity(self, tiny_config):
+        """A trace is an execution shortcut, never a key: a task built
+        from one alone is refused, so two ad-hoc traces cannot share a
+        cache entry."""
         from repro.trace.trace import CTATrace, KernelTrace, OP_LOAD
 
-        def kernel(*lines):
-            program = [(OP_LOAD, (line * 128,)) for line in lines]
-            return KernelTrace(name="unit", ctas=[CTATrace(warps=[program])])
-
-        k1 = kernel(0, 1)
-        k2 = kernel(0, 2)
-        t1 = Task(kind="simulate", trace=k1, key_by_trace=True, config=tiny_config)
-        t2 = Task(kind="simulate", trace=k2, key_by_trace=True, config=tiny_config)
-        assert trace_digest(k1) != trace_digest(k2)
-        assert t1.key(self.SALT) != t2.key(self.SALT)
+        program = [(OP_LOAD, (0,)), (OP_LOAD, (128,))]
+        k = KernelTrace(name="unit", ctas=[CTATrace(warps=[program])])
+        with pytest.raises(ValueError, match="benchmark name or a scenario"):
+            Task(kind="simulate", trace=k, config=tiny_config)
 
 
 class TestCacheStore:

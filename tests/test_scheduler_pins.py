@@ -1,9 +1,9 @@
 """Pinned timing results under every warp scheduler.
 
 The golden fixture runs only ``lrr``, whose pick the SIMT core inlines;
-``gto``, ``two-level`` and ``throttle`` take the scheduler's own
-``pick`` and the readiness view's ``warps.index`` path.  This pins
-cycles and the merged L1/L2 counters of two kernels under each of them:
+``gto`` takes the scheduler's own ``pick`` and the readiness view's
+``warps.index`` path.  This pins cycles and the merged L1/L2 counters of
+two kernels under each of them:
 
 * ``BFS+bar``: BFS with a CTA barrier after every sixth instruction.
   No Table-1 generator emits a barrier, so this is the barrier-heavy
@@ -109,53 +109,7 @@ PINNED = {
                                "bypasses": 0,
                                "bypass_ratio": 0.0,
                                "evictions": 1272,
-                               "writebacks": 228}},
-                "two-level": {"cycles": 41381,
-                              "l1": {"accesses": 15842,
-                                     "loads": 14178,
-                                     "stores": 1664,
-                                     "hits": 3543,
-                                     "miss_rate": 0.7763539957076127,
-                                     "mshr_merges": 102,
-                                     "fills": 8159,
-                                     "bypasses": 2374,
-                                     "bypass_ratio": 0.14985481631107184,
-                                     "evictions": 7135,
-                                     "writebacks": 0},
-                              "l2": {"accesses": 12197,
-                                     "loads": 10533,
-                                     "stores": 1664,
-                                     "hits": 2926,
-                                     "miss_rate": 0.7601049438386488,
-                                     "mshr_merges": 0,
-                                     "fills": 9271,
-                                     "bypasses": 0,
-                                     "bypass_ratio": 0.0,
-                                     "evictions": 1275,
-                                     "writebacks": 230}},
-                "throttle": {"cycles": 40725,
-                             "l1": {"accesses": 15842,
-                                    "loads": 14178,
-                                    "stores": 1664,
-                                    "hits": 3523,
-                                    "miss_rate": 0.7776164625678575,
-                                    "mshr_merges": 107,
-                                    "fills": 8177,
-                                    "bypasses": 2371,
-                                    "bypass_ratio": 0.1496654462820351,
-                                    "evictions": 7153,
-                                    "writebacks": 0},
-                             "l2": {"accesses": 12212,
-                                    "loads": 10548,
-                                    "stores": 1664,
-                                    "hits": 2943,
-                                    "miss_rate": 0.7590075335735342,
-                                    "mshr_merges": 0,
-                                    "fills": 9269,
-                                    "bypasses": 0,
-                                    "bypass_ratio": 0.0,
-                                    "evictions": 1273,
-                                    "writebacks": 230}}},
+                               "writebacks": 228}}},
     "SPMV": {"lrr": {"cycles": 24895,
                      "l1": {"accesses": 14820,
                             "loads": 13156,
@@ -201,53 +155,7 @@ PINNED = {
                             "bypasses": 0,
                             "bypass_ratio": 0.0,
                             "evictions": 0,
-                            "writebacks": 0}},
-             "two-level": {"cycles": 25287,
-                           "l1": {"accesses": 14820,
-                                  "loads": 13156,
-                                  "stores": 1664,
-                                  "hits": 5570,
-                                  "miss_rate": 0.6241565452091767,
-                                  "mshr_merges": 164,
-                                  "fills": 4552,
-                                  "bypasses": 2870,
-                                  "bypass_ratio": 0.19365721997300944,
-                                  "evictions": 3528,
-                                  "writebacks": 0},
-                           "l2": {"accesses": 9086,
-                                  "loads": 7422,
-                                  "stores": 1664,
-                                  "hits": 3454,
-                                  "miss_rate": 0.6198547215496368,
-                                  "mshr_merges": 0,
-                                  "fills": 5632,
-                                  "bypasses": 0,
-                                  "bypass_ratio": 0.0,
-                                  "evictions": 0,
-                                  "writebacks": 0}},
-             "throttle": {"cycles": 24942,
-                          "l1": {"accesses": 14820,
-                                 "loads": 13156,
-                                 "stores": 1664,
-                                 "hits": 5603,
-                                 "miss_rate": 0.6219298245614036,
-                                 "mshr_merges": 153,
-                                 "fills": 4574,
-                                 "bypasses": 2826,
-                                 "bypass_ratio": 0.19068825910931175,
-                                 "evictions": 3550,
-                                 "writebacks": 0},
-                          "l2": {"accesses": 9064,
-                                 "loads": 7400,
-                                 "stores": 1664,
-                                 "hits": 3432,
-                                 "miss_rate": 0.6213592233009708,
-                                 "mshr_merges": 0,
-                                 "fills": 5632,
-                                 "bypasses": 0,
-                                 "bypass_ratio": 0.0,
-                                 "evictions": 0,
-                                 "writebacks": 0}}},
+                            "writebacks": 0}}},
 }
 
 

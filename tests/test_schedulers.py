@@ -1,11 +1,10 @@
-"""Unit tests for warp schedulers (LRR, GTO, two-level)."""
+"""Unit tests for warp schedulers (LRR, GTO)."""
 
 import pytest
 
 from repro.gpu.schedulers import (
     GTOScheduler,
     LRRScheduler,
-    TwoLevelScheduler,
     make_scheduler,
 )
 from repro.gpu.warp import Warp
@@ -66,32 +65,8 @@ class TestGTO:
         assert sched.pick(warps, now=1) is not first
 
 
-class TestTwoLevel:
-    def test_limits_active_set(self):
-        sched = TwoLevelScheduler(active_size=2)
-        warps = make_warps(6)
-        seen = set()
-        for _ in range(4):
-            warp = sched.pick(warps, now=0)
-            seen.add(warp.warp_id)
-        assert len(seen) <= 2
-
-    def test_swaps_in_pending_on_stall(self):
-        sched = TwoLevelScheduler(active_size=1)
-        warps = make_warps(2)
-        first = sched.pick(warps, now=0)
-        first.ready_time = 100
-        replacement = sched.pick(warps, now=1)
-        assert replacement is not None
-        assert replacement is not first
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            TwoLevelScheduler(active_size=0)
-
-
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["lrr", "gto", "two-level"])
+    @pytest.mark.parametrize("name", ["lrr", "gto"])
     def test_make_scheduler(self, name):
         assert make_scheduler(name).name == name
 
