@@ -84,7 +84,11 @@ def sweep_optimal_pd(
     each candidate runs the PDP route's L1 half alone, and its L1
     counters equal the ``replay()`` oracle's L1-only run.
     """
-    arrays = build_run_arrays(trace, config, "lrr")
+    # The sweep replays the ``lrr`` interleave whatever the config's
+    # scheduler, so swept PDs (and the tasks keyed on them) never move.
+    arrays = build_run_arrays(
+        trace, dataclasses.replace(config, warp_scheduler="lrr")
+    )
     best_pd = candidates[0]
     best_miss = float("inf")
     for pd in candidates:
@@ -123,9 +127,7 @@ class SharedInputs:
     def arrays_for(self, task: "Task"):
         if self.arrays is None:
             # Exactly the cold-engine arrays simulate() would build.
-            self.arrays = build_run_arrays(
-                self.trace_for(task), task.config, task.config.warp_scheduler
-            )
+            self.arrays = build_run_arrays(self.trace_for(task), task.config)
         return self.arrays
 
 

@@ -40,25 +40,15 @@ cost.  The speed comes from three observations about the oracle:
 * **Walk** (every other design: dbp, gc-m).  Each core's L1 replays in
   a scalar walk that calls the hooks its policy overrides, with the
   precomputed ``now`` of each access, and stores ``fill_time`` on every
-  fill.  That
-  is exact even for policies that act on every access: their state
-  lives in the core's own policy object.  A victim-bit hint is the one
-  way L2 state reaches back into L1.  A hint is a *second* L2 request
-  for a line from the same L1, or the same victim-bit share group
-  (paper Section 4.2), so only a load whose group loaded the line
-  before in this run, or whose line starts the run in L2 with the
-  group's bit set, can carry one.  Only those
-  *hint-capable* load misses resolve in global order, through a
-  min-heap; every other load miss fills inline with ``hint=False`` (it
-  could never see a hint, whenever its L2 access runs).  A design
-  without victim bits has none, so its heap only seeds one walk per
-  core.  The L2 effects of stores and inline misses go by set.  In a
-  *hot* (bank, set), one that some hint-capable load maps to, they park
-  in a per-set buffer that is flushed in time order just before the
-  next same-set heap miss; elsewhere the walk records their stream
-  positions.  Both replay in one :func:`l2_burst` when the heap drains.
-  An event's time is always below every heap time when its core walks
-  past it, so the deferral never reorders observable same-set state.
+  fill.  That is exact even for policies that act on every access: their
+  state lives in the core's own policy object.  A victim-bit design
+  (gc-m) makes every L2 event, a store or a load miss, a stop of a
+  min-heap keyed by time, and runs its L2 access inline when its core is
+  popped.  That is exact because L1 state is private to each core and
+  every L2 event runs in global time order, so each load reads the
+  oracle's victim hint.  A design without victim bits takes no hint, so
+  each core walks to its end and one :func:`l2_burst` replays the L2
+  events it recorded.
 
   A periodic tick counts down per core and fires just before the next
   fill hook, so it can arrive after accesses it was due by.  Only a hit
@@ -69,8 +59,7 @@ cost.  The speed comes from three observations about the oracle:
 from __future__ import annotations
 
 import heapq
-from array import array
-from bisect import bisect_left
+import sys
 from collections import Counter
 from time import perf_counter
 from typing import List, Optional
@@ -192,14 +181,17 @@ class FunctionalEngine:
     are counted into the snapshot without disturbing live state, so the
     engine can keep running afterwards).
 
+    The stream interleave is ``config.warp_scheduler``'s, as in
+    :func:`build_run_arrays`.
+
     With ``profile=True`` the engine accumulates a wall-clock breakdown
     in :attr:`phase_seconds` — ``"burst"`` (vectorized per-set L1/L2
     rounds, including the PDP route's schedule planning, the G-Cache
-    route's hint windows and the walk's drain-end burst) and
-    ``"scalar_event"`` (everything else: the walk, heap events,
-    parked-event flushes and the hint-capable pre-pass) — so the
-    remaining scalar residue is measurable.  ``"probe"`` is always 0.0;
-    it stays because profilers read the key set by name.
+    route's hint windows and the L2 burst after a walk without victim
+    bits) and ``"scalar_event"`` (the walk, including the inline L2
+    accesses of a victim-bit design) — so the remaining scalar residue
+    is measurable.  ``"probe"`` is always 0.0; it stays because
+    profilers read the key set by name.
     """
 
     def __init__(
@@ -207,12 +199,10 @@ class FunctionalEngine:
         config: Optional[GPUConfig] = None,
         design: Optional[DesignSpec] = None,
         victim_share_factor: int = 1,
-        scheduler: str = "lrr",
         profile: bool = False,
     ) -> None:
         self.config = config if config is not None else GPUConfig()
         self.design = design if design is not None else make_design("bs")
-        self.scheduler = scheduler
         cfg = self.config
         self.l1 = [
             _L1State(cfg.l1_sets, cfg.l1_ways) for _ in range(cfg.num_cores)
@@ -361,7 +351,6 @@ class FunctionalEngine:
             arrays = build_run_arrays(
                 trace,
                 self.config,
-                self.scheduler,
                 streams=streams,
                 addr_map=self.addr_map,
                 now_offset=self.transactions,
@@ -373,7 +362,7 @@ class FunctionalEngine:
         elif self._gcache:
             self._run_gcache_burst(arrays)
         else:
-            self._run_missheap(arrays)
+            self._run_walk(arrays)
         self.transactions += sum(a.n for a in arrays)
         self.instructions += trace.instruction_count()
         self.kernels.append(trace.name)
@@ -487,6 +476,16 @@ class FunctionalEngine:
                 write[ev],
             )
 
+    def _l2_burst(self, now, part, local, set2, write) -> None:
+        """Run :func:`l2_burst` on the banks and add up its counters."""
+        S2 = self.config.l2_bank_sets
+        planes = l2_planes(self.l2, S2)
+        hit, evict, wback, _ = l2_burst(
+            planes, part * S2 + set2, local, write, None, now
+        )
+        l2_commit(planes, self.l2)
+        self._count_l2(write, hit, evict, wback)
+
     # ------------------------------------------------------------------
     # PDP burst route (spdp-b, pdp-3, pdp-8): the PD schedule, one PDP
     # burst per schedule round, then one L2 burst.
@@ -515,7 +514,7 @@ class FunctionalEngine:
         if events is None:
             if prof is not None:
                 prof["burst"] += perf_counter() - t0
-            self._run_missheap(arrays)
+            self._run_walk(arrays)
             return
         self._l2_events(arrays, *events)
         if prof is not None:
@@ -715,135 +714,74 @@ class FunctionalEngine:
 
     # ------------------------------------------------------------------
     # Walk route (every other managed design: dbp, gc-m): one scalar
-    # walk per core; hint-capable load misses take the heap.
+    # walk per core; a victim-bit design's L2 events take the heap.
     # ------------------------------------------------------------------
-    def _run_missheap(self, arrays) -> None:
+    def _run_walk(self, arrays) -> None:
+        stop = self._vd_masks is not None
         for A in arrays:
-            A.ensure_scalar()
+            if stop:
+                A.ensure_scalar()
+            else:
+                A.ensure_walk()
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
-        parked, positions = self._drain_missheap(
-            arrays, *self._hint_capable(arrays)
-        )
+        positions = self._walk(arrays, stop)
         if prof is not None:
             t1 = perf_counter()
             prof["scalar_event"] += t1 - t0
-        self._burst_parked(arrays, parked, positions)
+        # The L2 events a design without victim bits recorded, by
+        # concatenated-stream position.
+        offsets = np.cumsum([0] + [A.n for A in arrays])
+        self._l2_events(
+            arrays,
+            np.concatenate(
+                [np.array(p, dtype=np.int64) + o
+                 for p, o in zip(positions, offsets)]
+            ),
+            np.concatenate([A.write for A in arrays]),
+        )
         if prof is not None:
             prof["burst"] += perf_counter() - t1
 
-    def _hint_capable(self, arrays):
-        """Per-core flags, 1 at each load that may receive a victim hint,
-        and per-(bank, set) flags, 1 at each *hot* set: one that some
-        flagged load maps to (indexed by ``part * l2_bank_sets + set2``).
+    def _walk(self, arrays, stop: bool) -> List[List[int]]:
+        """Walk each core's L1 in a scalar loop, handing over between
+        cores through a min-heap of their next stops.
 
-        A hint is the requester group's victim bit found already set on
-        the L2 line: a *second* L2 request from the same L1 (or share
-        group) within the line's L2 generation (paper Section 4.2).  A
-        load can therefore carry one only if its group loaded the line
-        earlier in this run, or if the line sits in L2 at run start with
-        the group's bit set (a warm engine).  Every other load is its
-        group's first to the line, and its hint is ``False`` however its
-        L2 access interleaves with other cores'.  The test counts L1
-        hits as loads too, so it flags a superset of the second
-        requests: that costs heap traffic, never exactness.
-        """
-        S2 = self.config.l2_bank_sets
-        if self._vd_masks is None:
-            # No victim bits, no hints: nothing takes the heap.
-            return (
-                [bytearray(A.n) for A in arrays],
-                bytearray(len(self.l2) * S2),
-            )
-        share = self._share
-        hot = np.zeros(len(self.l2) * S2, dtype=np.uint8)
-        warm = any(any(b.vb) for b in self.l2)
-        if warm:
-            # Resident lines with any victim bit set, keyed like the
-            # loads below: `local * P + bank`.
-            P = len(self.l2)
-            tag = np.array([b.tag for b in self.l2], dtype=np.int64)
-            vb = np.array([b.vb for b in self.l2], dtype=self._vb_dtype)
-            keep = vb != 0
-            key = (tag * P + np.arange(P)[:, None])[keep]
-            srt = np.argsort(key)
-            key = key[srt]
-            bits = vb[keep][srt]
-        out = []
-        # One share group at a time keeps the temporaries small.
-        for g in range(len(arrays) // share):
-            members = arrays[g * share : (g + 1) * share]
-            ld = [np.flatnonzero(~A.write) for A in members]
-            line = np.concatenate([A.line[p] for A, p in zip(members, ld)])
-            flag = np.zeros(line.size, dtype=np.bool_)
-            if line.size:
-                # Loads of the group's line in time order; all but the
-                # first are hint-capable.
-                now = np.concatenate([A.now[p] for A, p in zip(members, ld)])
-                order = np.lexsort((now, line))
-                sl = line[order]
-                first = np.empty(order.size, dtype=np.bool_)
-                first[0] = True
-                np.not_equal(sl[1:], sl[:-1], out=first[1:])
-                flag[order[~first]] = True
-                if warm:
-                    # A first load whose line is resident with the
-                    # group's bit set is hint-capable too.
-                    fo = order[first]
-                    q = (
-                        np.concatenate(
-                            [A.local[p] for A, p in zip(members, ld)]
-                        )[fo] * P
-                        + np.concatenate(
-                            [A.part[p] for A, p in zip(members, ld)]
-                        )[fo]
-                    )
-                    i = np.minimum(np.searchsorted(key, q), key.size - 1)
-                    flag[fo] = (key[i] == q) & ((bits[i] >> g) & 1 != 0)
-            o = 0
-            for A, p in zip(members, ld):
-                f = np.zeros(A.n, dtype=np.uint8)
-                f[p] = flag[o : o + p.size]
-                o += p.size
-                out.append(bytearray(f))
-                q = np.flatnonzero(f)
-                hot[A.part[q] * S2 + A.set2[q]] = 1
-        return out, bytearray(hot)
-
-    def _drain_missheap(self, arrays, hint_capable, hot):
-        """Event loop whose heap carries **hint-capable load misses only**.
-
-        Each core walks inline through its hits, stores and the load
-        misses that cannot carry a victim hint (``hint_capable`` is 0:
-        the first load of the line from the core's share group, see
-        :meth:`_hint_capable`), and stops at its next hint-capable load
-        miss, which re-arms it in the heap.  The heap starts with one
-        walk-only entry per core at time -1 (below every transaction
-        time), so that same walk also reaches each core's first stop.
         The walk calls ``on_hit`` on hits, ``on_miss`` on store misses
         and on load misses before the fill hooks, and fills through the
-        same hooks the heap calls; due ticks fire before each fill.
+        policy's fill hooks; due ticks fire before each fill, counted
+        across the core's stops.  L1 state is core-private, so a core
+        may walk ahead of the others through its load hits.
 
-        L1 state is core-private, so a walk may run ahead of other
-        cores.  In a ``hot`` (bank, set), the L2 loads of its inline
-        misses and every store's L2 write park in that set's buffer as
-        ``now * num_cores + core``, flushed oldest first just before a
-        same-set hint-capable miss runs its L2 access.  That keeps the
-        oracle's per-set order: a popped miss holds the minimum heap
-        time, and every other core has walked past (and therefore
-        parked) all its events below it.  Across sets, order is
-        unobservable, and no heap miss touches any other set, so there
-        the walk appends the event's stream position to its core's
-        list.  Returns the events still parked at drain end and those
-        lists; :meth:`_burst_parked` replays both.
+        With ``stop`` (a victim-bit design), every L2 event, a store or
+        a load miss, runs its L2 access inline in global time order: a
+        core hands over at an L2 event later than another core's next
+        stop, and the heap re-arms it at that event's time.  A load ORs
+        its group's mask into the line's victim bits and reads its hint
+        before its fill hooks; a store writes the line and marks it
+        dirty.  The heap starts with one seed per core below every real
+        key, so no core runs an L2 event before every core has reached
+        its first.
+
+        Without ``stop`` no load carries a hint: each core walks to its
+        end, and the walk returns each core's L2 event positions for
+        one :func:`l2_burst`.
         """
         C = len(arrays)
-        # Sorted, so already a valid heap.
-        heap: List = [(-1, c) for c in range(C)]
-        push = heapq.heappush
+        # Keys are `now * C + core`: times are unique, so keys order the
+        # cores by next stop.  The seeds, one per core, sit below every
+        # real key and are sorted, so already a valid heap.
+        heap = list(range(-C, 0))
+        pushpop = heapq.heappushpop
         pop = heapq.heappop
+        # Later than every transaction: without victim bits no core
+        # hands over.
+        never = sys.maxsize
         pos_l = [0] * C
+        # Each core's first access not yet counted down toward its next
+        # tick.
+        run_l = [0] * C
         has_hit = self._has_hit
         has_miss = self._has_miss
         has_fill = self._has_fill
@@ -866,24 +804,13 @@ class FunctionalEngine:
         # bypasses, so the call is skipped.
         fill_gate = has_fill and policies[0].fill_gate_switches
         insert_skip_cold = policies[0].insert_skip_cold
-        flush = self._flush_parked
         S2 = self.config.l2_bank_sets
         l1_reuse = self.l1_reuse
         l2_reuse = self.l2_reuse
-        # One buffer per hot (bank, set), indexed by `part * S2 + set2`;
-        # the walk never parks in any other set, so those share one
-        # empty array.
-        empty = array("q")
-        parked = [array("q") if h else empty for h in hot]
-        any_hot = any(hot)
-        parked_cols = [
-            (A.now_l, A.local_l, A.write_l, vd_masks[c])
-            for c, A in enumerate(arrays)
-        ]
         positions: List[List[int]] = [[] for _ in range(C)]
         l1_store_hits = 0
         l1_fills = l1_bypasses = l1_evictions = 0
-        l2_loads = l2_load_hits = l2_fills = 0
+        l2_load_hits = l2_store_hits = l2_fills = 0
         l2_evictions = l2_writebacks = 0
         contentions = 0
 
@@ -891,12 +818,12 @@ class FunctionalEngine:
         # bound hook; a single indexed load + unpack per event replaces
         # ~25 attribute lookups through __slots__ descriptors.  All
         # bundled objects are mutated in place, so the bindings stay
-        # valid for the whole drain (`bank.tick` is a plain int and
+        # valid for the whole walk (`bank.tick` is a plain int and
         # stays an attribute).
         core_cols = [
             (
                 A.line_l, A.write_l, A.set1_l, A.now_l, A.slot_l,
-                A.local_l, A.n, hint_capable[c], vd_masks[c],
+                A.local_l, A.n, vd_masks[c],
                 l1s[c].tag, l1s[c].use_count, l1s[c].stamp, l1s[c].rrpv,
                 l1s[c].fill_time, l1s[c].valid_count, l1s[c].ways,
                 repl_st[c], pol.on_hit, pol.on_miss, pol.fill_decision,
@@ -912,24 +839,28 @@ class FunctionalEngine:
             for b in self.l2
         ]
 
-        while heap:
-            now, c = pop(heap)
-            (line_l, write_l, set1_l, now_l, slot_l, local_l, n, capable,
-             mask, tag, use, stamp, rrpv, fill_time, l1_vc, ways, rst,
+        key = pop(heap)
+        while True:
+            c = key % C
+            # The time of the earliest next stop of any other core.
+            rival = heap[0] // C if stop and heap else never
+            (line_l, write_l, set1_l, now_l, slot_l, local_l, n, mask,
+             tag, use, stamp, rrpv, fill_time, l1_vc, ways, rst,
              on_hit, on_miss, fill_decision, on_bypass, choose_victim,
              on_evict, on_insert, gate, record) = core_cols[c]
             p = pos_l[c]
-            # A real time marks this core's turn: the access at p is the
-            # hint-capable load miss its last walk stopped at.
-            due = now >= 0
-            # First access not yet counted down toward the next tick.
-            run = p
+            run = run_l[c]
             while p < n:
                 line = line_l[p]
                 set_index = set1_l[p]
                 base = set_index * ways
                 seg = tag[base : base + ways]
-                if line in seg:
+                write = write_l[p]
+                hit = line in seg
+                if (write or not hit) and now_l[p] > rival:
+                    # Another core's next stop comes first.
+                    break
+                if hit:
                     idx = base + seg.index(line)
                     use[idx] += 1
                     if lru:
@@ -940,143 +871,128 @@ class FunctionalEngine:
                         rrpv[idx] = 0
                     if has_hit:
                         on_hit(set_index, idx, now_l[p])
-                    if not write_l[p]:
+                    if not write:
                         p += 1
                         continue
                     l1_store_hits += 1
-                elif write_l[p]:
-                    # Write-through no-allocate: store misses skip L1.
-                    if has_miss:
-                        on_miss(set_index, now_l[p])
-                elif capable[p] and not due:
-                    break
-                else:
-                    # Load miss: the due hint-capable one runs its L2
-                    # access now; any other defers it (no hint possible).
-                    now = now_l[p]
-                    if has_miss:
-                        on_miss(set_index, now)
-                    hint = False
-                    if due:
-                        due = False
-                        slot = slot_l[p]
-                        part, bset = divmod(slot, S2)
-                        (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
-                         bways) = bank_cols[part]
-                        buf = parked[slot]
-                        if buf:
-                            flush(bank, bset, buf, now, parked_cols)
-                        bbase = bset * bways
-                        l2_loads += 1
-                        bseg = btag[bbase : bbase + bways]
-                        local = local_l[p]
-                        if local in bseg:
-                            bidx = bbase + bseg.index(local)
-                            buse[bidx] += 1
-                            l2_load_hits += 1
-                            bank.tick += 1
-                            bstamp_l[bidx] = bank.tick
+                elif has_miss:
+                    # Write-through no-allocate: a store miss skips L1.
+                    on_miss(set_index, now_l[p])
+                # An L2 event: a store, or a load miss.
+                now = now_l[p]
+                hint = False
+                if stop:
+                    part, bset = divmod(slot_l[p], S2)
+                    (bank, btag, bstamp_l, buse, bdirty, bvb, bvc_l,
+                     bways) = bank_cols[part]
+                    bbase = bset * bways
+                    bseg = btag[bbase : bbase + bways]
+                    local = local_l[p]
+                    if local in bseg:
+                        bidx = bbase + bseg.index(local)
+                        buse[bidx] += 1
+                        if write:
+                            bdirty[bidx] = 1
+                            l2_store_hits += 1
                         else:
-                            vc = bvc_l[bset]
-                            if vc < bways:
-                                bidx = bbase + vc
-                                bvc_l[bset] = vc + 1
-                            else:
-                                bstamp = bstamp_l[bbase : bbase + bways]
-                                bidx = bbase + bstamp.index(min(bstamp))
-                                l2_evictions += 1
-                                if bdirty[bidx]:
-                                    l2_writebacks += 1
-                                l2_reuse[buse[bidx]] += 1
-                            btag[bidx] = local
-                            bdirty[bidx] = 0
-                            buse[bidx] = 0
-                            bvb[bidx] = 0
-                            l2_fills += 1
-                            bank.tick += 1
-                            bstamp_l[bidx] = bank.tick
+                            l2_load_hits += 1
+                    else:
+                        vc = bvc_l[bset]
+                        if vc < bways:
+                            bidx = bbase + vc
+                            bvc_l[bset] = vc + 1
+                        else:
+                            bstamp = bstamp_l[bbase : bbase + bways]
+                            bidx = bbase + bstamp.index(min(bstamp))
+                            l2_evictions += 1
+                            if bdirty[bidx]:
+                                l2_writebacks += 1
+                            l2_reuse[buse[bidx]] += 1
+                        btag[bidx] = local
+                        bdirty[bidx] = write
+                        buse[bidx] = 0
+                        bvb[bidx] = 0
+                        l2_fills += 1
+                    bank.tick += 1
+                    bstamp_l[bidx] = bank.tick
+                    if not write:
                         prev = bvb[bidx]
                         bvb[bidx] = prev | mask
                         if prev & mask:
                             contentions += 1
                             hint = True
-                    elif any_hot and hot[slot_l[p]]:
-                        parked[slot_l[p]].append(now * C + c)
-                    else:
-                        record(p)
-                    if tick_interval:
-                        k = p + 1 - run
-                        if k >= tick_left[c]:
-                            # Ticks due by this access fire before its
-                            # fill hooks.
-                            tick_run(c, k, now)
-                            run = p + 1
-                    # L1 fill.
-                    if (
-                        has_fill
-                        and (gate is None or hint or gate[set_index])
-                        and fill_decision(set_index, line, hint, now)
-                    ):
-                        l1_bypasses += 1
-                        if has_bypass:
-                            on_bypass(set_index, now)
-                    else:
-                        vc = l1_vc[set_index]
-                        if vc < ways:
-                            way = vc
-                            l1_vc[set_index] = vc + 1
-                        else:
-                            way = (
-                                choose_victim(set_index, now)
-                                if has_choose
-                                else None
-                            )
-                            if way is None:
-                                if lru:
-                                    sseg = stamp[base : base + ways]
-                                    way = sseg.index(min(sseg))
-                                else:
-                                    # SRRIP: age to max, take the first
-                                    # line that held the pre-aging
-                                    # maximum.
-                                    rseg = rrpv[base : base + ways]
-                                    top_val = max(rseg)
-                                    if top_val < max_rrpv:
-                                        delta = max_rrpv - top_val
-                                        rrpv[base : base + ways] = [
-                                            v + delta for v in rseg
-                                        ]
-                                    way = rseg.index(top_val)
-                            idx = base + way
-                            l1_evictions += 1
-                            l1_reuse[use[idx]] += 1
-                            if has_evict:
-                                on_evict(idx, now)
-                        idx = base + way
-                        tag[idx] = line
-                        use[idx] = 0
-                        fill_time[idx] = now
-                        l1_fills += 1
-                        if lru:
-                            rst[0] += 1
-                            stamp[idx] = rst[0]
-                        else:
-                            rrpv[idx] = insertion_rrpv
-                        if has_insert and (hint or not insert_skip_cold):
-                            on_insert(idx, hint, now)
-                    p += 1
-                    continue
-                # A store, hit or miss: defer its L2 write.
-                if any_hot and hot[slot_l[p]]:
-                    parked[slot_l[p]].append(now_l[p] * C + c)
                 else:
                     record(p)
                 p += 1
+                if write:
+                    continue
+                if tick_interval:
+                    k = p - run
+                    if k >= tick_left[c]:
+                        # Ticks due by this access fire before its fill
+                        # hooks.
+                        tick_run(c, k, now)
+                        run = p
+                # L1 fill.
+                if (
+                    has_fill
+                    and (gate is None or hint or gate[set_index])
+                    and fill_decision(set_index, line, hint, now)
+                ):
+                    l1_bypasses += 1
+                    if has_bypass:
+                        on_bypass(set_index, now)
+                    continue
+                vc = l1_vc[set_index]
+                if vc < ways:
+                    way = vc
+                    l1_vc[set_index] = vc + 1
+                else:
+                    way = (
+                        choose_victim(set_index, now) if has_choose else None
+                    )
+                    if way is None:
+                        if lru:
+                            sseg = stamp[base : base + ways]
+                            way = sseg.index(min(sseg))
+                        else:
+                            # SRRIP: age to max, take the first line
+                            # that held the pre-aging maximum.
+                            rseg = rrpv[base : base + ways]
+                            top_val = max(rseg)
+                            if top_val < max_rrpv:
+                                delta = max_rrpv - top_val
+                                rrpv[base : base + ways] = [
+                                    v + delta for v in rseg
+                                ]
+                            way = rseg.index(top_val)
+                    idx = base + way
+                    l1_evictions += 1
+                    l1_reuse[use[idx]] += 1
+                    if has_evict:
+                        on_evict(idx, now)
+                idx = base + way
+                tag[idx] = line
+                use[idx] = 0
+                fill_time[idx] = now
+                l1_fills += 1
+                if lru:
+                    rst[0] += 1
+                    stamp[idx] = rst[0]
+                else:
+                    rrpv[idx] = insertion_rrpv
+                if has_insert and (hint or not insert_skip_cold):
+                    on_insert(idx, hint, now)
             pos_l[c] = p
+            if p < n:
+                run_l[c] = run
+                key = pushpop(heap, now_l[p] * C + c)
+                continue
             if tick_interval and p > run:
                 tick_run(c, p - run, now_l[p - 1])
-            if p < n:
-                push(heap, (now_l[p], c))
+            if not heap:
+                break
+            key = pop(heap)
 
         # Every access was walked once, and a load hit is a load that
         # neither filled nor bypassed.
@@ -1089,13 +1005,17 @@ class FunctionalEngine:
         self.l1_fills += l1_fills
         self.l1_bypasses += l1_bypasses
         self.l1_evictions += l1_evictions
-        self.l2_loads += l2_loads
-        self.l2_load_hits += l2_load_hits
-        self.l2_fills += l2_fills
-        self.l2_evictions += l2_evictions
-        self.l2_writebacks += l2_writebacks
-        self.contentions_detected += contentions
-        return parked, positions
+        if stop:
+            # Every store and every load miss accessed L2.
+            self.l2_loads += l1_fills + l1_bypasses
+            self.l2_stores += stores
+            self.l2_load_hits += l2_load_hits
+            self.l2_store_hits += l2_store_hits
+            self.l2_fills += l2_fills
+            self.l2_evictions += l2_evictions
+            self.l2_writebacks += l2_writebacks
+            self.contentions_detected += contentions
+        return positions
 
     def _tick_run(self, c: int, accesses: int, now: int) -> None:
         """Count ``accesses`` walked accesses down core ``c``'s tick.
@@ -1117,150 +1037,6 @@ class FunctionalEngine:
         on_tick = self.mgmt[c].on_tick
         for _ in range(1 + over // interval):
             on_tick(now)
-
-    def _flush_parked(
-        self, bank: _L2Bank, bset: int, buf: array, upto: int, cols: list
-    ) -> None:
-        """Apply one (bank, set)'s parked events before ``upto``, oldest
-        first.
-
-        ``buf`` holds ``now * num_cores + core`` codes (unsorted: it
-        merges one sorted run per core); times are globally unique, so
-        the order is total.  ``cols[core]`` is that core's ``(now_l,
-        local_l, write_l, mask)``.  A parked load is its share group's
-        first load of the line (:meth:`_hint_capable`).  A hint needs a
-        second request from the group (paper Section 4.2), so the
-        group's victim bit is clear and the load only ORs its mask in;
-        its L1 fill already ran, with ``hint=False``, in its core's
-        walk.
-        """
-        C = len(cols)
-        events = sorted(buf)
-        k = bisect_left(events, upto * C)
-        if not k:
-            return
-        del buf[:]
-        buf.extend(events[k:])
-        ways = bank.ways
-        base = bset * ways
-        tag = bank.tag
-        use = bank.use
-        stamp = bank.stamp
-        dirty = bank.dirty
-        vb = bank.vb
-        vc_l = bank.valid_count
-        tick = bank.tick
-        l2_reuse = self.l2_reuse
-        stores = store_hits = load_hits = 0
-        fills = evictions = writebacks = 0
-        for code in events[:k]:
-            now, c = divmod(code, C)
-            now_l, local_l, write_l, mask = cols[c]
-            p = bisect_left(now_l, now)
-            local = local_l[p]
-            write = write_l[p]
-            if write:
-                stores += 1
-            seg = tag[base : base + ways]
-            tick += 1
-            if local in seg:
-                i = base + seg.index(local)
-                use[i] += 1
-                stamp[i] = tick
-                if write:
-                    store_hits += 1
-                    dirty[i] = 1
-                else:
-                    load_hits += 1
-                    vb[i] |= mask
-            else:
-                vcv = vc_l[bset]
-                if vcv < ways:
-                    i = base + vcv
-                    vc_l[bset] = vcv + 1
-                else:
-                    sseg = stamp[base : base + ways]
-                    i = base + sseg.index(min(sseg))
-                    evictions += 1
-                    if dirty[i]:
-                        writebacks += 1
-                    l2_reuse[use[i]] += 1
-                tag[i] = local
-                use[i] = 0
-                stamp[i] = tick
-                if write:
-                    dirty[i] = 1
-                    vb[i] = 0
-                else:
-                    dirty[i] = 0
-                    vb[i] = mask
-                fills += 1
-        bank.tick = tick
-        self.l2_loads += k - stores
-        self.l2_stores += stores
-        self.l2_load_hits += load_hits
-        self.l2_store_hits += store_hits
-        self.l2_fills += fills
-        self.l2_evictions += evictions
-        self.l2_writebacks += writebacks
-
-    def _burst_parked(
-        self, arrays, parked: List[array], positions: List[List[int]]
-    ) -> None:
-        """Replay the walk's deferred L2 events in one :func:`l2_burst`:
-        those still parked in hot sets at drain end, and those recorded
-        by stream position everywhere else.
-
-        Each is later than every hint-capable miss of its (bank, set),
-        so the burst's per-set order is the oracle's.  None can meet a
-        victim bit of its own group: the burst's contention count is
-        checked to be 0.
-        """
-        C = len(arrays)
-        sel = [np.array(p, dtype=np.int64) for p in positions]
-        code = np.frombuffer(b"".join(parked), dtype=np.int64)
-        if code.size:
-            core = code % C
-            for c, A in enumerate(arrays):
-                mine = code[core == c]
-                if mine.size:
-                    sel[c] = np.concatenate(
-                        (sel[c], np.searchsorted(A.now, mine // C))
-                    )
-        if not any(p.size for p in sel):
-            return
-        mask = None
-        if self._vd_masks is not None:
-            mask = np.repeat(
-                np.array(self._vd_masks, dtype=self._vb_dtype),
-                [p.size for p in sel],
-            )
-        if self._l2_burst(
-            np.concatenate([A.now[p] for A, p in zip(arrays, sel)]),
-            np.concatenate([A.part[p] for A, p in zip(arrays, sel)]),
-            np.concatenate([A.local[p] for A, p in zip(arrays, sel)]),
-            np.concatenate([A.set2[p] for A, p in zip(arrays, sel)]),
-            np.concatenate([A.write[p] for A, p in zip(arrays, sel)]),
-            mask,
-        ):
-            raise RuntimeError(
-                "a parked L2 load met its own victim bit: the "
-                "hint-capable test missed a second request"
-            )
-
-    def _l2_burst(self, now, part, local, set2, write, mask=None) -> int:
-        """Run :func:`l2_burst` on the banks and add up its counters;
-        returns its contention count."""
-        S2 = self.config.l2_bank_sets
-        planes = l2_planes(
-            self.l2, S2, None if mask is None else mask.dtype
-        )
-        hit, evict, wback, flag = l2_burst(
-            planes, part * S2 + set2, local, write, mask, now
-        )
-        l2_commit(planes, self.l2)
-        self._count_l2(write, hit, evict, wback)
-        return 0 if flag is None else int(np.count_nonzero(flag))
 
     def _count_l2(self, write, hit, evict, wback) -> None:
         """Add :func:`l2_burst` events' counters to the engine's."""
@@ -1341,7 +1117,6 @@ class FunctionalEngine:
 def build_run_arrays(
     trace: KernelTrace,
     config: GPUConfig,
-    scheduler: str,
     streams=None,
     addr_map: Optional[AddressMap] = None,
     now_offset: int = 0,
@@ -1349,15 +1124,16 @@ def build_run_arrays(
     """The column arrays one :meth:`FunctionalEngine.run` of ``trace``
     replays.
 
-    Coalesces the trace into per-core streams (unless ``streams`` are
-    given) and lays them out with global transaction times starting at
-    ``now_offset``.  Nothing here depends on the design, so a caller
-    replaying one trace through many designs on cold engines builds the
-    arrays once (``now_offset=0``) and passes them as ``run(...,
-    arrays=...)``; the replays only read them.
+    Coalesces the trace into per-core streams in the interleave of
+    ``config.warp_scheduler`` (unless ``streams`` are given) and lays
+    them out with global transaction times starting at ``now_offset``.
+    Nothing here depends on the design, so a caller replaying one trace
+    through many designs on cold engines builds the arrays once
+    (``now_offset=0``) and passes them as ``run(..., arrays=...)``; the
+    replays only read them.
     """
     if streams is None:
-        streams = build_core_streams(trace, config, scheduler)
+        streams = build_core_streams(trace, config, config.warp_scheduler)
     return build_core_arrays(
         streams, config, addr_map=addr_map, now_offset=now_offset
     )
@@ -1369,13 +1145,11 @@ def functional_replay(
     design: Optional[DesignSpec] = None,
     streams=None,
     arrays=None,
-    scheduler: str = "lrr",
     victim_share_factor: int = 1,
 ) -> ReplayResult:
     """One-shot functional replay; mirrors :func:`repro.sim.replay.replay`
-    (which alone also offers an L1-only mode)."""
-    engine = FunctionalEngine(
-        config, design, victim_share_factor, scheduler=scheduler
-    )
+    (which alone also offers an L1-only mode, and takes its interleave
+    as a ``scheduler`` argument rather than from ``config``)."""
+    engine = FunctionalEngine(config, design, victim_share_factor)
     engine.run(trace, streams=streams, arrays=arrays)
     return engine.result(benchmark=trace.name)

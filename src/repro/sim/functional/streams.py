@@ -13,15 +13,15 @@ closed form:
 can be applied eagerly while shared-L2 events are ordered by their
 precomputed times.
 
-Columns are built **lazily**: the engine's two replay routes touch
-different subsets (the scalar walk wants plain Python lists; the
-null-management burst route wants NumPy columns and never most of the
-lists), so only ``line_l``/``write_l`` (the tuple split every other
-column derives from) and the closed-form ``now`` column are
-materialized up front.  Everything else is built on first request by an
-``ensure_*`` method and cached, so a sweep sharing one
-:class:`CoreArrays` across many designs still pays each conversion at
-most once.
+Columns are built **lazily**: the engine's replay routes touch
+different subsets (the scalar walk wants plain Python lists, and only
+its victim-bit designs want the L2 routing lists; the burst routes want
+NumPy columns and never most of the lists), so only
+``line_l``/``write_l`` (the tuple split every other column derives
+from) and the closed-form ``now`` column are materialized up front.
+Everything else is built on first request by an ``ensure_*`` method and
+cached, so a sweep sharing one :class:`CoreArrays` across many designs
+still pays each conversion at most once.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class CoreArrays:
         "local",
         "set2",
         # Python-list columns (the scalar walk; element access on a list
-        # is several times cheaper than NumPy scalar extraction).
+        # is several times cheaper than NumPy scalar extraction).  The
+        # last two are L2 routing, read only by victim-bit designs.
         "line_l",
         "write_l",
         "set1_l",
@@ -124,14 +125,20 @@ class CoreArrays:
             self.local = self._addr_map.local_array(line)
             self.set2 = self.local & self._l2_mask
 
-    def ensure_scalar(self) -> None:
-        """Every column the walk reads: the NumPy ones and the lists
-        ``set1_l``/``now_l``/``local_l``/``slot_l``."""
-        if self.slot_l is None:
+    def ensure_walk(self) -> None:
+        """The columns every walk reads: the NumPy L1 ones and the lists
+        ``set1_l``/``now_l``."""
+        if self.now_l is None:
             self.ensure_l1()
-            self.ensure_l2()
             self.set1_l = self.set1.tolist()
             self.now_l = self.now.tolist()
+
+    def ensure_scalar(self) -> None:
+        """The walk's columns plus the L2 routing its victim-bit designs
+        read inline: the NumPy ones and the lists ``local_l``/``slot_l``."""
+        self.ensure_walk()
+        if self.slot_l is None:
+            self.ensure_l2()
             self.local_l = self.local.tolist()
             self.slot_l = (
                 self.part * (self._l2_mask + 1) + self.set2

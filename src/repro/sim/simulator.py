@@ -350,10 +350,7 @@ def _run_functional(
     from repro.sim.functional import FunctionalEngine, TimingEstimator
 
     engine = FunctionalEngine(
-        config,
-        design,
-        victim_share_factor=victim_share_factor,
-        scheduler=config.warp_scheduler,
+        config, design, victim_share_factor=victim_share_factor
     )
     for trace in traces:
         engine.run(trace, arrays=arrays)
@@ -478,9 +475,8 @@ def simulate(
             Functional runs reject ``timeline``/``obs``.
         arrays: Prebuilt inputs of a functional run of ``trace`` under
             ``config``: :func:`repro.sim.functional.engine.build_run_arrays`
-            with that config's ``warp_scheduler``.  Functional fidelity
-            only; the replay only reads them, so one build can serve
-            every design.
+            with that config.  Functional fidelity only; the replay only
+            reads them, so one build can serve every design.
     """
     if config is None:
         config = GPUConfig()

@@ -166,7 +166,7 @@ def assert_equivalent(
         victim_share_factor=victim_share_factor,
     )
     fast = functional_replay(
-        trace, config, design, scheduler=scheduler,
+        trace, config.with_scheduler(scheduler), design,
         victim_share_factor=victim_share_factor,
     )
     assert fast.l1.snapshot() == oracle.l1.snapshot()
@@ -256,7 +256,7 @@ def test_engine_drives_the_designs_own_policies(key, config):
 # Routing: a design with no management hooks, no tick and no victim bits
 # replays as L1 and L2 bursts; PDP without victim bits as PDP and L2
 # bursts; every other design takes the one scalar walk, whose heap
-# carries only hint-capable load misses.
+# stops at every L2 event of a victim-bit design.
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +269,7 @@ def test_hint_free_managed_designs_burst_l2(
     def no_walk(*_):
         raise AssertionError("the PDP burst route entered the walk")
 
-    monkeypatch.setattr(FunctionalEngine, "_drain_missheap", no_walk)
+    monkeypatch.setattr(FunctionalEngine, "_walk", no_walk)
     engine = FunctionalEngine(config, _design(key), profile=True)
     engine.run(spmv_trace)
     assert engine.phase_seconds["burst"] > 0
@@ -550,10 +550,10 @@ def test_adversarial_schedulers_match_oracle(trace, scheduler):
 # Burst-path adversarial kernels
 #
 # The batched per-set burst path reorders work aggressively: L2 events
-# replay grouped by (bank, set) instead of globally interleaved, store
-# traffic is folded into walks and parked in per-set buffers that flush
-# lazily, and set-conflict storms fall off the vectorized round loop
-# into a scalar tail.  These strategies aim squarely at the seams where
+# replay grouped by (bank, set) instead of globally interleaved, a walk
+# without victim bits records its store traffic for one L2 burst at its
+# end, and set-conflict storms fall off the vectorized round loop into a
+# scalar tail.  These strategies aim squarely at the seams where
 # that reordering could diverge from the oracle.
 # ---------------------------------------------------------------------------
 
@@ -653,17 +653,17 @@ def burst_adversarial_kernels(draw):
 #: windows (gc), with switch shutdowns inside them (gc-fast-shutdown),
 #: a fixed M of 2 (gc-m2-fixed) and off-default thresholds and
 #: insertions (gc-insert); and the walk.  On the walk: fill hooks only
-#: (dbp), and hint-capable misses on the heap beside parked stores and
-#: first-load misses (gc-m).
+#: (dbp), and every store and load miss a heap stop (gc-m).
 BURST_PATH_DESIGNS = (
     "bs", "bs-s", "dbp", "pdp-3", "pdp-8", "spdp-b", "spdp-quantized",
     "spdp-no-bypass", "pdp-tiny-epoch", "gc", "gc-m", "gc-fast-shutdown",
     "gc-m2-fixed", "gc-insert",
 )
 
-#: The miss heap's seed walks at their edges: core 1's stream is stores
-#: only (no load miss, so its first walk runs off the end with stores
-#: still parked), and cores 2 and 3 receive no CTA (empty streams).
+#: The walk's seed walks at their edges: core 1's stream is stores only
+#: (no load miss: a walk with victim bits stops at every access, one
+#: without runs off the end with every store recorded for the L2
+#: burst), and cores 2 and 3 receive no CTA (empty streams).
 SEED_WALK_EDGES = KernelTrace(
     name="SEED-WALK-EDGES",
     ctas=[
@@ -768,7 +768,7 @@ def test_gcache_designs_never_walk(key, trace):
     """Every G-Cache design with a fixed M settles on bursts alone."""
     engine = FunctionalEngine(ADV_CONFIG, _design(key), profile=True)
     with mock.patch.object(
-        FunctionalEngine, "_drain_missheap",
+        FunctionalEngine, "_walk",
         side_effect=AssertionError("the G-Cache burst entered the walk"),
     ):
         engine.run(trace)
@@ -995,8 +995,8 @@ def test_round_cap_falls_back_to_the_walk_exactly(monkeypatch):
     assert burst.call_count == 2
     monkeypatch.setattr(engine_mod, "_SCHEDULE_ROUNDS", 1)
     with mock.patch.object(
-        FunctionalEngine, "_run_missheap", autospec=True,
-        side_effect=FunctionalEngine._run_missheap,
+        FunctionalEngine, "_run_walk", autospec=True,
+        side_effect=FunctionalEngine._run_walk,
     ) as walk:
         assert_equivalent(MOVED_EPOCH_END, ADV_CONFIG, design)
     assert walk.call_count == 1
